@@ -154,6 +154,35 @@ def test_micro_rollup(benchmark, frame):
 
 
 @pytest.fixture(scope="module")
+def spill_day():
+    """One fixed baseline-geo capture day (341,502 flows)."""
+    scenario = get_scenario("baseline-geo").with_overrides(
+        {"population.n_customers": 300, "workload.days": 1, "workload.seed": 9}
+    )
+    return scenario.build_generator().generate()
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_spill_window(benchmark, spill_day, tmp_path):
+    """One compressed window spill — the commit-thread step that sets
+    the pace of ``repro stream``: per-column codec choice, deflate of
+    the columns that compress, atomic write with its fsyncs."""
+    from repro.analysis.dataset import _POOL_FIELDS
+    from repro.stream import FlowStore, WindowEntry
+
+    store = FlowStore.create(
+        tmp_path / "cap",
+        pools={name: getattr(spill_day, name) for name in _POOL_FIELDS},
+        windows=[WindowEntry(0, 0, 1)],
+        capture_key="k" * 24,
+        config={},
+        compress=True,
+    )
+    written = benchmark(store.write_window, 0, spill_day)
+    assert written == store.bytes_spilled() > 0
+
+
+@pytest.fixture(scope="module")
 def fleet_partition_dirs(tmp_path_factory):
     """Four completed partition captures of a small fleet scenario."""
     from repro.fleet import plan_partitions, run_partition

@@ -9,8 +9,12 @@ group in milliseconds.
 
 from __future__ import annotations
 
+import io
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +55,55 @@ _ARRAY_FIELDS = (
     "qoe_level",
     "qoe_switches",
 )
+
+#: The npz codec rule (see :func:`write_npz`): a member is deflated at
+#: ``_DEFLATE_LEVEL`` only when its first ``_PROBE_BYTES`` deflate to at
+#: most ``_DEFLATE_MAX_RATIO`` of their size. Categorical and day
+#: columns shrink many-fold; high-entropy float columns (timestamps,
+#: byte counts, durations, RTTs) shrink by 5-12 % and are stored.
+_PROBE_BYTES = 64 * 1024
+_DEFLATE_LEVEL = 1
+_DEFLATE_MAX_RATIO = 0.75
+
+
+def _worth_deflating(payload: memoryview) -> bool:
+    probe = payload[:_PROBE_BYTES]
+    return len(zlib.compress(probe, _DEFLATE_LEVEL)) <= _DEFLATE_MAX_RATIO * len(probe)
+
+
+def write_npz(
+    file, arrays: Mapping[str, np.ndarray], compress: bool = True
+) -> None:
+    """Write ``arrays`` as a standard ``.npz``, choosing each member's codec.
+
+    Every array becomes one ``<name>.npy`` member, exactly as
+    :func:`numpy.savez` lays it out, so :func:`numpy.load` (lazy member
+    reads, zip CRC checks) reads the file unchanged. With ``compress``
+    a member is ``ZIP_DEFLATED`` only when a probe of its leading bytes
+    says deflate pays (see ``_DEFLATE_MAX_RATIO``), otherwise
+    ``ZIP_STORED``; without it every member is stored. Object arrays
+    (the categorical pools) are pickled, as :func:`numpy.savez` does.
+    Members carry a fixed timestamp, so equal arrays give equal bytes.
+
+    ``file`` is a writable binary handle or a path (``.npz`` is
+    appended when missing, as :func:`numpy.savez` does).
+    """
+    if not hasattr(file, "write"):
+        file = os.fspath(file)
+        if not file.endswith(".npz"):
+            file += ".npz"
+    with zipfile.ZipFile(file, mode="w") as archive:
+        for name, array in arrays.items():
+            buffer = io.BytesIO()
+            np.lib.format.write_array(buffer, array, allow_pickle=True)
+            payload = buffer.getbuffer()
+            deflate = compress and _worth_deflating(payload)
+            archive.writestr(
+                zipfile.ZipInfo(f"{name}.npy"),
+                payload,
+                compress_type=zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED,
+                compresslevel=_DEFLATE_LEVEL,
+            )
 
 
 @dataclass
@@ -238,18 +291,17 @@ class FlowFrame:
 
         The paper ships daily flow summaries to long-term storage; this
         is the equivalent for synthetic captures — a 1 M-flow frame is
-        a few tens of MB compressed and reloads in well under a second.
-        ``compress=False`` trades disk for speed (what the capture
-        cache uses: a multi-million-flow frame stores and reloads in
-        a fraction of the compression time).
+        a few tens of MB and reloads in well under a second. With
+        ``compress`` only the members that deflate well are deflated
+        (:func:`write_npz`); ``compress=False`` stores every member,
+        trading disk for speed (what the capture cache uses).
         """
         pools = {
             f"pool_{name}": np.array(getattr(self, name), dtype=object)
             for name in _POOL_FIELDS
         }
         columns = {name: getattr(self, name) for name in _ARRAY_FIELDS}
-        writer = np.savez_compressed if compress else np.savez
-        writer(path, **pools, **columns)
+        write_npz(path, {**pools, **columns}, compress=compress)
 
     @classmethod
     def load_npz(cls, path) -> "FlowFrame":

@@ -181,8 +181,8 @@ class CaptureCache:
         self.directory.mkdir(parents=True, exist_ok=True)
         atomic_write_bytes(
             path,
-            # uncompressed: a cache optimizes reload latency, and
-            # savez_compressed costs ~10x the write time
+            # uncompressed: a cache optimizes store and reload
+            # latency, not disk
             lambda h: frame.save_npz(h, compress=False),
             injector=self.injector,
             op="cache.store",

@@ -243,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument(
         "--no-compress",
         action="store_true",
-        help="spill raw npz windows (faster, ~3x more disk)",
+        help="store every spilled column raw (faster, ~2.2x more disk)",
     )
     stream.add_argument(
         "--pipeline-depth",
@@ -310,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--no-compress",
         action="store_true",
-        help="spill raw npz windows (faster, ~3x more disk)",
+        help="store every spilled column raw (faster, ~2.2x more disk)",
     )
 
     scen = sub.add_parser(

@@ -32,8 +32,9 @@ import asyncio
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 import numpy as np
@@ -55,19 +56,21 @@ class EndpointStats:
     endpoint: str
     requests: int = 0
     errors: int = 0
-    _latencies_ms: List[float] = field(default_factory=list, repr=False)
+    _latencies_ms: Deque[float] = field(
+        default_factory=lambda: deque(maxlen=EndpointStats.MAX_SAMPLES), repr=False
+    )
 
-    #: Retain at most this many samples per endpoint; enough for
-    #: stable p99 under the 500-client load test without unbounded
-    #: growth on a long-lived server.
+    #: Retain the most recent this many samples per endpoint: enough
+    #: for stable p99 under the 500-client load test, bounded on a
+    #: long-lived server, and recent enough that the percentiles keep
+    #: following the traffic.
     MAX_SAMPLES = 100_000
 
     def observe(self, latency_s: float, error: bool) -> None:
         self.requests += 1
         if error:
             self.errors += 1
-        if len(self._latencies_ms) < self.MAX_SAMPLES:
-            self._latencies_ms.append(latency_s * 1000.0)
+        self._latencies_ms.append(latency_s * 1000.0)
 
     def percentile_ms(self, q: float) -> float:
         if not self._latencies_ms:

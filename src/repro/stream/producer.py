@@ -114,7 +114,8 @@ class StreamConfig:
     workload: WorkloadConfig
     window_days: int = 1
     compress: bool = True
-    """Compress spilled windows (trade CPU for ~3x less disk)."""
+    """Deflate the spilled window columns that compress (trade CPU for
+    ~2.2x less disk on baseline-geo; see :func:`repro.analysis.dataset.write_npz`)."""
     scenario: Optional["Scenario"] = None
     faults: Optional[FaultPlan] = None
     """Chaos plan for this run — execution-only, never part of the

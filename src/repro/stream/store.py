@@ -1,7 +1,7 @@
 """Spill-to-disk flow store for streaming captures.
 
 A capture directory is the streaming analogue of the one-shot
-``capture.npz``: one compressed npz *shard file per window* under
+``capture.npz``: one npz *shard file per window* under
 ``windows/``, plus a small JSON ``manifest.json`` holding everything
 needed to interpret them (schema version, categorical pools, the
 window plan, the capture's content key). Windows are appended as the
@@ -43,7 +43,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.analysis.dataset import _ARRAY_FIELDS, _POOL_FIELDS, FlowFrame
+from repro.analysis.dataset import _ARRAY_FIELDS, _POOL_FIELDS, FlowFrame, write_npz
 from repro.analysis.source import CaptureError
 from repro.faults import NO_FAULTS, FaultInjector, atomic_write_bytes
 
@@ -199,11 +199,11 @@ class FlowStore:
         for name in _POOL_FIELDS:
             if list(getattr(frame, name)) != pools[name]:
                 raise ValueError(f"window frame pool {name!r} differs from manifest")
-        writer = np.savez_compressed if self.manifest["compress"] else np.savez
+        compress = self.manifest["compress"]
         columns = {name: getattr(frame, name) for name in _ARRAY_FIELDS}
         return atomic_write_bytes(
             self.window_path(index),
-            lambda h: writer(h, **columns),
+            lambda h: write_npz(h, columns, compress=compress),
             injector=self.injector,
             op="store.write_window",
         )

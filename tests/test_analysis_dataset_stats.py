@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.analysis.dataset import FlowFrame
+from repro.analysis.dataset import _ARRAY_FIELDS, _POOL_FIELDS, FlowFrame
 from repro.analysis.stats import (
     boxplot_stats,
     ccdf,
@@ -125,6 +125,38 @@ def test_load_npz_coerces_drifted_dtypes(small_frame, tmp_path):
     assert loaded.bytes_down.dtype == FlowFrame.COLUMN_DTYPES["bytes_down"]
     assert loaded.country_idx.dtype == FlowFrame.COLUMN_DTYPES["country_idx"]
     assert np.array_equal(loaded.country_idx, small_frame.country_idx)
+
+
+@pytest.mark.parametrize("compress", [True, False], ids=["compress", "stored"])
+def test_save_npz_round_trips_frame_and_pools(small_frame, tmp_path, compress):
+    path = tmp_path / "frame"  # ``.npz`` is appended, as np.savez does
+    small_frame.save_npz(path, compress=compress)
+    loaded = FlowFrame.load_npz(tmp_path / "frame.npz")
+    for name in _POOL_FIELDS:
+        assert getattr(loaded, name) == getattr(small_frame, name), name
+    for name in _ARRAY_FIELDS:
+        want, got = getattr(small_frame, name), getattr(loaded, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_load_npz_reads_frames_written_by_savez_compressed(small_frame, tmp_path):
+    """Frames written before the per-column codec (every member
+    deflated, pools pickled as object arrays) still load identically."""
+    path = tmp_path / "old.npz"
+    np.savez_compressed(
+        path,
+        **{
+            f"pool_{name}": np.array(getattr(small_frame, name), dtype=object)
+            for name in _POOL_FIELDS
+        },
+        **{name: getattr(small_frame, name) for name in _ARRAY_FIELDS},
+    )
+    loaded = FlowFrame.load_npz(path)
+    for name in _POOL_FIELDS:
+        assert getattr(loaded, name) == getattr(small_frame, name), name
+    for name in _ARRAY_FIELDS:
+        want, got = getattr(small_frame, name), getattr(loaded, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 def test_customer_day_totals_match_bruteforce(small_frame):

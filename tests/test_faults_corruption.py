@@ -7,6 +7,9 @@ bit-flipped, and zeroed; the reader must answer with a diagnostic
 a raw decoder traceback, and never silently wrong data.
 """
 
+import struct
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -39,20 +42,57 @@ def _zero(path):
 MUTATIONS = {"truncate": _truncate, "bit-flip": _bit_flip, "zero-length": _zero}
 
 
+def _run_capture(directory, compress):
+    config = StreamConfig(workload=TINY, window_days=1, compress=compress)
+    run_stream_capture(config, directory)
+    return directory, config
+
+
 @pytest.fixture()
 def capture(tmp_path):
-    config = StreamConfig(workload=TINY, window_days=1, compress=False)
-    run_stream_capture(config, tmp_path / "cap")
-    return tmp_path / "cap", config
+    """A finished capture with stored (``--no-compress``) windows."""
+    return _run_capture(tmp_path / "cap", compress=False)
 
 
-@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
-def test_corrupt_window_is_diagnosed(capture, mutate):
-    capture_dir, _config = capture
+def _assert_window_diagnosed(capture_dir, mutate):
     store = FlowStore.open(capture_dir)
     mutate(store.window_path(0))
     with pytest.raises(CaptureError, match="corrupt window file"):
         store.read_window(0)
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_corrupt_window_is_diagnosed(capture, mutate):
+    _assert_window_diagnosed(capture[0], mutate)
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_corrupt_compressed_window_is_diagnosed(tmp_path, mutate):
+    capture_dir, _config = _run_capture(tmp_path / "cap", compress=True)
+    _assert_window_diagnosed(capture_dir, mutate)
+
+
+@pytest.mark.parametrize("compress", [True, False], ids=["compress", "stored"])
+def test_flipped_bit_in_stored_column_is_diagnosed(tmp_path, compress):
+    """``ts_start`` is stored, not deflated, in both spill modes, so no
+    decoder sees its bytes: the zip CRC alone must catch a flip in its
+    payload, through a projection that reads it, before a wrong value
+    is returned."""
+    capture_dir, _config = _run_capture(tmp_path / "cap", compress)
+    store = FlowStore.open(capture_dir)
+    path = store.window_path(0)
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("ts_start.npy")
+    assert info.compress_type == zipfile.ZIP_STORED
+    data = bytearray(path.read_bytes())
+    # local file header: 30 fixed bytes, then the name and extra field
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    payload_start = info.header_offset + 30 + name_len + extra_len
+    data[payload_start + info.compress_size // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+    assert store.read_window(0, columns=["country_idx"])  # untouched member
+    with pytest.raises(CaptureError, match="corrupt window file.*CRC"):
+        store.read_window(0, columns=["country_idx", "ts_start"])
 
 
 @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
@@ -83,8 +123,7 @@ def test_corrupt_rollup_is_diagnosed(capture, mutate):
         StreamRollup.load(rollup_path(capture_dir))
 
 
-@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
-def test_corrupt_rollup_heals_on_resume(capture, mutate):
+def _assert_rollup_heals(capture, mutate):
     """The rollup is derived state: resume re-folds it from the committed
     windows instead of failing the capture."""
     capture_dir, config = capture
@@ -95,6 +134,16 @@ def test_corrupt_rollup_heals_on_resume(capture, mutate):
     assert result.complete
     assert result.rollup.state_digest() == clean_digest
     assert injector.stats.rollup_rebuilds == 1
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_corrupt_rollup_heals_on_resume(capture, mutate):
+    _assert_rollup_heals(capture, mutate)
+
+
+@pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+def test_corrupt_rollup_heals_from_compressed_windows(tmp_path, mutate):
+    _assert_rollup_heals(_run_capture(tmp_path / "cap", compress=True), mutate)
 
 
 def test_corrupt_rollup_with_wrong_schema(capture):

@@ -20,6 +20,7 @@ from repro.analysis.source import CaptureError, load_capture
 from repro.analysis.validation import build_scorecard_rollup
 from repro.scenario import ScenarioError, get_scenario
 from repro.serve import (
+    EndpointStats,
     ServeStats,
     ServerThread,
     SnapshotHub,
@@ -315,6 +316,25 @@ def test_serve_stats_rows_and_rendering():
     assert rows["reports/fig2"]["p50_ms"] == pytest.approx(20.0, rel=0.01)
     table = render_serve_telemetry(stats)
     assert "reports/fig2" in table and "3 requests, 1 errors" in table
+
+
+def test_serve_stats_percentiles_follow_recent_traffic():
+    """A long-lived server keeps the latest samples, not the first ones:
+    after a latency shift p99 moves to the new regime."""
+    stats = ServeStats()
+    cap = EndpointStats.MAX_SAMPLES
+    for _ in range(cap):
+        stats.observe("reports/fig2", 0.001, error=False)
+    assert stats.rows()[0]["p99_ms"] == pytest.approx(1.0)
+    for _ in range(cap // 2):
+        stats.observe("reports/fig2", 0.050, error=False)
+    row = stats.rows()[0]
+    assert row["requests"] == cap + cap // 2
+    assert row["p99_ms"] == pytest.approx(50.0)
+    assert row["p50_ms"] == pytest.approx(25.5)  # half old, half new
+    for _ in range(cap):
+        stats.observe("reports/fig2", 0.002, error=False)
+    assert stats.rows()[0]["p99_ms"] == pytest.approx(2.0)
 
 
 # -- scenario section --------------------------------------------------------

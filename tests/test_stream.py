@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.analysis.reports import (
 )
 from repro.cache import config_cache_key, stream_capture_key
 from repro.cli import main
+from repro.scenario import get_scenario
 from repro.stream import (
     Checkpoint,
     FlowStore,
@@ -198,6 +200,85 @@ def test_store_iteration_skips_unwritten_windows(tmp_path, tiny_frames):
     store.write_window(1, tiny_frames[1])
     indices = [index for index, _ in store.iter_windows()]
     assert indices == [1]
+
+
+@pytest.fixture(scope="module", params=["baseline-geo", "video-streaming"])
+def scenario_window(request):
+    """Window 0 of a small streamed capture of each spill-shape scenario."""
+    from repro.stream import WindowedProducer
+
+    scenario = get_scenario(request.param).with_overrides(
+        {"population.n_customers": 60, "workload.days": 1, "workload.seed": 3}
+    )
+    producer = WindowedProducer(scenario.build_generator(), 1)
+    return producer.generate_window(producer.windows[0])
+
+
+def _spill(directory, frame, compress):
+    store = FlowStore.create(
+        directory,
+        pools=_store_pools(frame),
+        windows=[WindowEntry(0, 0, 1)],
+        capture_key="k" * 24,
+        config={},
+        compress=compress,
+    )
+    store.write_window(0, frame)
+    return store
+
+
+def _assert_columns_exact(loaded, frame, names):
+    for name in names:
+        want, got = getattr(frame, name), loaded[name]
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("compress", [True, False], ids=["compress", "stored"])
+def test_spill_round_trips_byte_exact(tmp_path, scenario_window, compress):
+    frame = scenario_window
+    store = _spill(tmp_path / "cap", frame, compress)
+    full = store.read_window(0)
+    _assert_columns_exact(
+        {name: getattr(full, name) for name in _ARRAY_FIELDS}, frame, _ARRAY_FIELDS
+    )
+    projection = ["ts_start", "country_idx", "session_id", "bytes_down"]
+    projected = store.read_window(0, columns=projection)
+    assert list(projected) == projection
+    _assert_columns_exact(projected, frame, projection)
+
+
+@pytest.mark.parametrize("compress", [True, False], ids=["compress", "stored"])
+def test_spill_codec_is_chosen_per_column(tmp_path, scenario_window, compress):
+    store = _spill(tmp_path / "cap", scenario_window, compress)
+    with zipfile.ZipFile(store.window_path(0)) as archive:
+        codecs = {
+            info.filename[: -len(".npy")]: info.compress_type
+            for info in archive.infolist()
+        }
+    assert set(codecs) == set(_ARRAY_FIELDS)
+    if not compress:
+        assert set(codecs.values()) == {zipfile.ZIP_STORED}
+        return
+    for name in ("ts_start", "bytes_up", "bytes_down"):
+        assert codecs[name] == zipfile.ZIP_STORED, name
+    for name in ("day", "country_idx", "session_id"):
+        assert codecs[name] == zipfile.ZIP_DEFLATED, name
+
+
+def test_window_spilled_by_savez_compressed_still_reads(tmp_path, scenario_window):
+    """Windows written before the per-column codec (every member
+    deflated by ``np.savez_compressed``) read back identically."""
+    frame = scenario_window
+    store = _spill(tmp_path / "cap", frame, True)
+    np.savez_compressed(
+        store.window_path(0), **{name: getattr(frame, name) for name in _ARRAY_FIELDS}
+    )
+    with zipfile.ZipFile(store.window_path(0)) as archive:
+        assert {i.compress_type for i in archive.infolist()} == {zipfile.ZIP_DEFLATED}
+    _assert_frames_identical(store.read_window(0), frame)
+    projected = store.read_window(0, columns=["bytes_up", "day"])
+    _assert_columns_exact(projected, frame, ["bytes_up", "day"])
 
 
 # -- rollup sketches --------------------------------------------------------
