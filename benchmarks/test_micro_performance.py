@@ -135,6 +135,40 @@ def test_micro_generator_throughput(benchmark):
 
 
 @pytest.mark.benchmark(group="micro")
+def test_micro_window_generation(benchmark):
+    """Windowed generation in the stream-geo shape, serially: 600
+    baseline-geo customers at flow_scale 0.4 in 2 shards, six 1-day
+    windows, each (shard, window) from its own window stream — the
+    ~500 (country, service) chunks per cell that the draw phase walks."""
+    from repro.parallel import spawn_window_seed
+    from repro.stream.producer import plan_windows
+
+    generator = get_scenario("baseline-geo").with_overrides({
+        "population.n_customers": 600,
+        "workload.flow_scale": 0.4,
+        "workload.n_shards": 2,
+        "workload.days": 6,
+        "workload.seed": 651,
+    }).build_generator()
+    windows = plan_windows(generator.config.days, 1)
+
+    def run():
+        flows = 0
+        for shard in generator.shard_plan():
+            for window in windows:
+                rng = np.random.default_rng(spawn_window_seed(
+                    generator.config.seed, shard, len(windows), window.index
+                ))
+                flows += len(generator.generate_shard_days(
+                    shard, window.day_lo, window.day_hi, rng
+                ))
+        return flows
+
+    flows = benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
+    assert flows > 1_000_000
+
+
+@pytest.mark.benchmark(group="micro")
 def test_micro_classifier_pool(benchmark, frame):
     classifier = ServiceClassifier()
 

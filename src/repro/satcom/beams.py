@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -111,12 +111,20 @@ class BeamMap:
         """Vectorized :meth:`utilization` over per-flow arrays."""
         return np.minimum(0.99, peak_utilization * _diurnal_shape(hour_local, continent))
 
-    def pep_utilization_bulk(
-        self, pep_load: np.ndarray, hour_local: np.ndarray, continent: str
-    ) -> np.ndarray:
-        """Vectorized :meth:`pep_utilization` over per-flow arrays."""
-        shape = 0.72 + 0.28 * _diurnal_shape(hour_local, continent)
-        return np.minimum(0.99, pep_load * shape)
+    def loads_bulk(
+        self,
+        peak_utilization: np.ndarray,
+        pep_load: np.ndarray,
+        hour_local: np.ndarray,
+        continent: str,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`utilization` and :meth:`pep_utilization` of
+        the same flows, from one evaluation of the diurnal shape."""
+        shape = _diurnal_shape(hour_local, continent)
+        return (
+            np.minimum(0.99, peak_utilization * shape),
+            np.minimum(0.99, pep_load * (0.72 + 0.28 * shape)),
+        )
 
 
 #: Peak radio / PEP loads per country. Congo is congested on both

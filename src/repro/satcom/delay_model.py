@@ -18,7 +18,7 @@ heavy tail).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,25 @@ from repro.satcom.geometry import SatelliteGeometry
 from repro.satcom.mac import SlottedAlohaModel, TdmaModel
 from repro.satcom.pep import PepCapacityModel
 
-__all__ = ["SatelliteRttModel", "local_hour"]
+__all__ = ["HandshakeDraws", "SatelliteRttModel", "local_hour"]
+
+
+class HandshakeDraws(NamedTuple):
+    """Raw variates of one bulk handshake sample, one array per RNG call
+    (see :meth:`SatelliteRttModel.draw_handshake`)."""
+
+    terminal: np.ndarray
+    jitter: np.ndarray
+    align: np.ndarray
+    queue: np.ndarray
+    idle: np.ndarray
+    attempts: np.ndarray
+    backoff: np.ndarray
+    access: np.ndarray
+    errors: np.ndarray
+    recovery: np.ndarray
+    pep: np.ndarray
+    downlink: np.ndarray
 
 
 @dataclass
@@ -131,6 +149,94 @@ class SatelliteRttModel:
         pep_forward = self.pep.sample_forward_delay_s(pep_load, rng, n)
         return floor + terminal + jitter + scheduling + arq + pep_forward
 
+    def handshake_constants(self, country_name: str) -> Tuple[float, float]:
+        """Per-country scalars of the bulk handshake sampler: the
+        ``(floor_s, frame_error_probability)`` pair. Draw-free, so a
+        caller may compute them once and reuse them for every batch."""
+        location = COUNTRIES[country_name]
+        elevation = self.geometry.elevation_angle_deg(location)
+        return (
+            self.floor_rtt_s(country_name),
+            self.channel.frame_error_probability(elevation),
+        )
+
+    def draw_handshake(
+        self, p_err: float, utilization: np.ndarray, rng: np.random.Generator
+    ) -> HandshakeDraws:
+        """The draw step of :meth:`sample_handshake_rtt_bulk`.
+
+        Issues exactly the bulk sampler's RNG calls, in its order, with
+        its sizes and parameters; the only per-flow parameter is the
+        Aloha success probability derived from ``utilization``.
+        """
+        n = len(utilization)
+        terminal = rng.lognormal(0.0, self.terminal_sigma, n)
+        jitter = rng.lognormal(0.0, self.stack_jitter_sigma, n)
+        align = rng.uniform(0.0, self.tdma.frame_s, n)
+        queue = rng.exponential(1.0, n)
+        idle = rng.random(n)
+        p_success = np.maximum(1e-3, np.exp(-2.0 * (0.35 * utilization)))
+        attempts = rng.geometric(p_success)
+        backoff = rng.integers(1, self.aloha.max_backoff_slots + 1, n)
+        access = rng.uniform(0.0, self.aloha.slot_s, n)
+        errors = rng.binomial(6, p_err, n)
+        recovery = rng.uniform(0.0, 2.0 * self.tdma.frame_s, n)
+        pep = rng.lognormal(0.0, self.pep.setup_sigma, n)
+        downlink = rng.exponential(1.0, n)
+        return HandshakeDraws(
+            terminal, jitter, align, queue, idle, attempts, backoff,
+            access, errors, recovery, pep, downlink,
+        )
+
+    def combine_handshake(
+        self,
+        floor: float,
+        draws: HandshakeDraws,
+        utilization: np.ndarray,
+        pep_load: np.ndarray,
+    ) -> np.ndarray:
+        """The draw-free combine step of :meth:`sample_handshake_rtt_bulk`.
+
+        Purely elementwise, so the draws of several batches may be
+        concatenated (with their loads) and combined in one call.
+        """
+        terminal = self.terminal_median_s * draws.terminal
+        jitter = self.stack_jitter_median_s * draws.jitter
+
+        # TDMA scheduling: alignment + assignment + exponential queueing
+        # with a per-flow mean.
+        frame = self.tdma.frame_s
+        rho_term = np.minimum(utilization / (1.0 - utilization), self.tdma.max_queue_frames)
+        scheduling = draws.align + 0.5 * frame + draws.queue * frame * rho_term
+
+        # Slotted-Aloha contention for the fraction of flows that find
+        # the CPE idle.
+        retries = draws.attempts - 1
+        contention = np.where(
+            draws.idle < self.contention_fraction,
+            draws.access
+            + retries * (self.aloha.reservation_rtt_s + draws.backoff * self.aloha.slot_s),
+            0.0,
+        )
+
+        # ARQ recoveries (scalar error probability per country).
+        errors = draws.errors
+        arq = errors * self.channel.arq_rtt_s + np.where(
+            errors > 0, draws.recovery * errors, 0.0
+        )
+
+        # PEP setup saturation with per-flow median.
+        pep_ratio = np.minimum(pep_load / (1.0 - pep_load), self.pep.max_load_ratio)
+        pep_median = self.pep.setup_scale_s * pep_ratio
+        pep_setup = pep_median * draws.pep
+
+        downlink_queue = draws.downlink * (
+            0.010 * np.minimum(utilization / (1.0 - utilization), 20.0) + 1e-6
+        )
+        return (
+            floor + terminal + jitter + scheduling + contention + arq + pep_setup + downlink_queue
+        )
+
     def sample_handshake_rtt_bulk(
         self,
         country_name: str,
@@ -142,58 +248,12 @@ class SatelliteRttModel:
 
         ``utilization`` and ``pep_load`` are per-flow arrays (already
         resolved for each flow's beam and local hour, e.g. via
-        :meth:`repro.satcom.beams.BeamMap.utilization_bulk`).
+        :meth:`repro.satcom.beams.BeamMap.utilization_bulk`). It is
+        :meth:`draw_handshake` followed by :meth:`combine_handshake`.
         """
-        location = COUNTRIES[country_name]
-        elevation = self.geometry.elevation_angle_deg(location)
-        n = len(utilization)
-
-        floor = self.floor_rtt_s(country_name)
-        terminal = self.terminal_median_s * rng.lognormal(0.0, self.terminal_sigma, n)
-        jitter = self.stack_jitter_median_s * rng.lognormal(0.0, self.stack_jitter_sigma, n)
-
-        # TDMA scheduling: alignment + assignment + exponential queueing
-        # with a per-flow mean.
-        frame = self.tdma.frame_s
-        rho_term = np.minimum(utilization / (1.0 - utilization), self.tdma.max_queue_frames)
-        scheduling = (
-            rng.uniform(0.0, frame, n)
-            + 0.5 * frame
-            + rng.exponential(1.0, n) * frame * rho_term
-        )
-
-        # Slotted-Aloha contention for the fraction of flows that find
-        # the CPE idle.
-        idle_start = rng.random(n) < self.contention_fraction
-        load = 0.35 * utilization
-        p_success = np.maximum(1e-3, np.exp(-2.0 * load))
-        retries = rng.geometric(p_success) - 1
-        backoff = rng.integers(1, self.aloha.max_backoff_slots + 1, n)
-        contention = np.where(
-            idle_start,
-            rng.uniform(0.0, self.aloha.slot_s, n)
-            + retries * (self.aloha.reservation_rtt_s + backoff * self.aloha.slot_s),
-            0.0,
-        )
-
-        # ARQ recoveries (scalar error probability per country).
-        p_err = self.channel.frame_error_probability(elevation)
-        errors = rng.binomial(6, p_err, n)
-        arq = errors * self.channel.arq_rtt_s + np.where(
-            errors > 0, rng.uniform(0.0, 2.0 * frame, n) * errors, 0.0
-        )
-
-        # PEP setup saturation with per-flow median.
-        pep_ratio = np.minimum(pep_load / (1.0 - pep_load), self.pep.max_load_ratio)
-        pep_median = self.pep.setup_scale_s * pep_ratio
-        pep_setup = pep_median * rng.lognormal(0.0, self.pep.setup_sigma, n)
-
-        downlink_queue = rng.exponential(1.0, n) * (
-            0.010 * np.minimum(utilization / (1.0 - utilization), 20.0) + 1e-6
-        )
-        return (
-            floor + terminal + jitter + scheduling + contention + arq + pep_setup + downlink_queue
-        )
+        floor, p_err = self.handshake_constants(country_name)
+        draws = self.draw_handshake(p_err, utilization, rng)
+        return self.combine_handshake(floor, draws, utilization, pep_load)
 
     def median_beam_rtt_s(
         self,

@@ -119,6 +119,14 @@ class DelaySource:
         base = self.rtt_model.sample_handshake_rtt_bulk(
             country_name, utilization, pep_load, rng
         )
+        return self.handshake_at(country_name, base, t_s)
+
+    def handshake_at(
+        self, country_name: str, base: np.ndarray, t_s: np.ndarray
+    ) -> np.ndarray:
+        """Move the model's handshake RTTs ``base`` onto this source's
+        floor at start times ``t_s``: draw-free and elementwise, so it
+        may run once over many batches' concatenated samples."""
         if not self.is_time_varying:
             return base
         return np.maximum(base + self.floor_delta_s(country_name, t_s), 1e-3)
@@ -156,13 +164,11 @@ class DelaySource:
             beam = self.beam_map.beams_for(country)[0]
             hour_utc = (t_s[mask] % SECONDS_PER_DAY) / 3600.0
             hour_loc = local_hour(location, hour_utc)
-            util = self.beam_map.utilization_bulk(
+            util, pep = self.beam_map.loads_bulk(
                 np.full(mask.sum(), beam.peak_utilization),
+                np.full(mask.sum(), beam.pep_load),
                 hour_loc,
                 location.continent,
-            )
-            pep = self.beam_map.pep_utilization_bulk(
-                np.full(mask.sum(), beam.pep_load), hour_loc, location.continent
             )
             out[mask] = self.sample_handshake_rtt_bulk(
                 country, util, pep, t_s[mask], rng

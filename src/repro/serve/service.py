@@ -30,11 +30,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
 import time
+import weakref
+from asyncio.trsock import TransportSocket
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 import numpy as np
@@ -167,6 +170,8 @@ class ReportServer:
         self._max_inflight = max(1, int(max_inflight))
         self._gate: Optional[asyncio.Semaphore] = None
         self._server: Optional[asyncio.base_events.Server] = None
+        # Listening and accepted sockets, for release_in_forked_child.
+        self._sockets: Set[TransportSocket] = set()
 
     async def start(self) -> None:
         # The semaphore must be created on the serving loop.
@@ -175,6 +180,7 @@ class ReportServer:
             self._handle, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._sockets.update(self._server.sockets)
 
     async def close(self) -> None:
         if self._server is not None:
@@ -182,11 +188,35 @@ class ReportServer:
             await self._server.wait_closed()
             self._server = None
 
+    def release_in_forked_child(self) -> None:
+        """Drop a forked child's copies of this server's sockets.
+
+        A child forked while the server runs (a generation worker of
+        ``repro stream --serve-port``) inherits the listening socket and
+        every open connection; its copies would keep a ``Connection:
+        close`` response from reaching EOF until the child exits. Each
+        descriptor still open at the fork is pointed at ``/dev/null``
+        rather than closed, so the child's copies of the socket objects
+        can never close a reused number later; a socket already closed
+        reports ``fileno() == -1`` and is skipped.
+        """
+        fds = [fd for fd in (sock.fileno() for sock in self._sockets) if fd >= 0]
+        if not fds:
+            return
+        null = os.open(os.devnull, os.O_RDWR)
+        try:
+            for fd in fds:
+                os.dup2(null, fd)
+        finally:
+            os.close(null)
+
     # -- request plumbing ---------------------------------------------
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        sock = writer.get_extra_info("socket")
+        self._sockets.add(sock)
         try:
             request = await asyncio.wait_for(reader.readline(), timeout=30.0)
             if not request:
@@ -220,6 +250,7 @@ class ReportServer:
         except (asyncio.TimeoutError, ConnectionError):
             pass
         finally:
+            self._sockets.discard(sock)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -423,6 +454,12 @@ def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, indent=2) + "\n").encode()
 
 
+def _release_in_child(server: "weakref.ref[ReportServer]") -> None:
+    live = server()
+    if live is not None:
+        live.release_in_forked_child()
+
+
 class ServerThread:
     """A :class:`ReportServer` on its own event loop in a daemon thread.
 
@@ -459,6 +496,13 @@ class ServerThread:
         return self.server.stats
 
     def start(self, timeout: float = 10.0) -> "ServerThread":
+        if hasattr(os, "register_at_fork"):
+            # Processes forked beside the server (the capture's
+            # generation pool) must not hold its sockets open.
+            server = weakref.ref(self.server)
+            os.register_at_fork(
+                after_in_child=lambda: _release_in_child(server)
+            )
         self._thread = threading.Thread(
             target=self._run, name="repro-serve", daemon=True
         )

@@ -130,21 +130,21 @@ class HistFamily:
                 weights = weights[finite]
         if len(values) == 0:
             return
-        w = np.ones(len(values)) if weights is None else np.asarray(weights, np.float64)
-        bin_idx = np.searchsorted(self.edges, values, side="right") - 1
-        low = bin_idx < 0
-        high = bin_idx >= self.counts.shape[1]
-        mid = ~(low | high)
+        # One bincount over (row, slot): slot 0 is the underflow, 1..nb
+        # the bins, nb + 1 the overflow. Each slot sums the same values
+        # in the same order as a per-region bincount would, and count
+        # families count unweighted (exact integers, even in float64).
         nb = self.counts.shape[1]
-        if mid.any():
-            flat = rows[mid].astype(np.int64) * nb + bin_idx[mid]
-            self.counts += np.bincount(
-                flat, weights=w[mid], minlength=self.n_rows * nb
-            ).reshape(self.n_rows, nb)
-        if low.any():
-            self.under += np.bincount(rows[low], weights=w[low], minlength=self.n_rows)
-        if high.any():
-            self.over += np.bincount(rows[high], weights=w[high], minlength=self.n_rows)
+        slot = np.searchsorted(self.edges, values, side="right")
+        flat = rows.astype(np.int64) * (nb + 2) + slot
+        if weights is not None:
+            weights = np.asarray(weights, np.float64)
+        banks = np.bincount(
+            flat, weights=weights, minlength=self.n_rows * (nb + 2)
+        ).reshape(self.n_rows, nb + 2)
+        self.counts += banks[:, 1:-1]
+        self.under += banks[:, 0]
+        self.over += banks[:, -1]
 
     def merge(self, other: "HistFamily") -> None:
         if self.counts.shape != other.counts.shape or not np.array_equal(
@@ -312,6 +312,23 @@ class StreamRollup:
             re.compile(TABLE2_DOMAIN_GROUPS[name]) for name in self._t2_groups
         ]
         self._t2: Dict[int, np.ndarray] = {}
+        self._t2_domain_group: Dict[str, int] = {}
+
+    def _t2_group_of(self, domain: str) -> int:
+        """Table 2 domain group of ``domain`` (-1 for none), memoized:
+        every window of a capture carries the same domain pool."""
+        group = self._t2_domain_group.get(domain)
+        if group is None:
+            group = next(
+                (
+                    g_idx
+                    for g_idx, pattern in enumerate(self._t2_compiled)
+                    if pattern.search(domain)
+                ),
+                -1,
+            )
+            self._t2_domain_group[domain] = group
+        return group
 
     @property
     def _t2_vec_len(self) -> int:
@@ -562,12 +579,9 @@ class StreamRollup:
         # Table 2 bank: group flows by customer, then accumulate that
         # customer's resolver counts and per-domain-group RTT sums.
         ng = len(self._t2_groups)
-        pool_group = np.full(len(frame.domains), -1, dtype=np.int16)
-        for d_idx, domain in enumerate(frame.domains):
-            for g_idx, pattern in enumerate(self._t2_compiled):
-                if pattern.search(domain):
-                    pool_group[d_idx] = g_idx
-                    break
+        pool_group = np.array(
+            [self._t2_group_of(domain) for domain in frame.domains], dtype=np.int16
+        )
         flow_group = np.full(len(frame), -1, dtype=np.int16)
         has_domain = frame.domain_idx >= 0
         flow_group[has_domain] = pool_group[frame.domain_idx[has_domain]]

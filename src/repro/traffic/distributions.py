@@ -35,6 +35,19 @@ class DistributionError(ValueError):
     """A distribution spec failed to parse or validate."""
 
 
+def choice_cdf(p) -> np.ndarray:
+    """The CDF :meth:`numpy.random.Generator.choice` builds from ``p``.
+
+    ``cdf.searchsorted(rng.random(n), side="right")`` is then exactly
+    ``rng.choice(len(p), n, p=p)`` — the same indices from the same
+    ``n`` uniforms, leaving the same stream state — without
+    re-validating and re-summing ``p`` on every call.
+    """
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def _fmt(x: float) -> str:
     """Shortest float form that round-trips through ``float()``."""
     return repr(float(x))

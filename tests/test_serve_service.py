@@ -10,8 +10,12 @@ the rollup-backed scorecard, the HTTP error surface, the digest-neutral
 publication.
 """
 
+import dataclasses
 import http.client
 import json
+import multiprocessing
+import socket
+import time
 
 import numpy as np
 import pytest
@@ -381,3 +385,57 @@ def test_fleet_capture_publishes_merged_final_snapshot(tmp_path):
     assert snapshot.digest == result.digest
     assert snapshot.rollup.state_digest() == result.digest
     assert hub.published >= 1
+
+
+# -- live server beside a forked generation pool ------------------------------
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the generation pool forks only where fork exists",
+)
+def test_forked_generation_workers_do_not_hold_server_connections(tmp_path):
+    """A connection open while ``repro stream --serve-port``'s capture
+    forks its 2-worker generation pool reaches EOF as soon as the server
+    answers it, not when the workers exit with the capture."""
+    config = dataclasses.replace(
+        CONFIG,
+        workload=WorkloadConfig(
+            n_customers=48, days=4, seed=7, n_workers=2, n_shards=2
+        ),
+    )
+    hub = SnapshotHub()
+    server = ServerThread(hub).start()
+    client = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+    # an unfinished request: the server holds the connection open while
+    # the capture forks its workers
+    client.sendall(b"GET /progress HTTP/1.1\r\n")
+    answers = []
+
+    def read_to_eof(_telemetry) -> None:
+        if answers:
+            return
+        started = time.perf_counter()
+        client.sendall(b"\r\n")
+        reply = b""
+        try:
+            while chunk := client.recv(65536):
+                reply += chunk
+        except socket.timeout:
+            reply = None  # still open: a forked worker holds the socket
+        answers.append((time.perf_counter() - started, reply))
+
+    try:
+        started = time.perf_counter()
+        result = run_stream_capture(
+            config, tmp_path / "cap", on_window=read_to_eof, snapshot_hub=hub
+        )
+        capture_s = time.perf_counter() - started
+    finally:
+        client.close()
+        server.stop()
+    assert result.complete
+    [(eof_s, reply)] = answers
+    assert reply is not None and reply.startswith(b"HTTP/1.1 200")
+    assert eof_s < min(2.0, capture_s / 2)
+

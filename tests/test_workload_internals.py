@@ -23,46 +23,59 @@ def test_domain_pools_cover_every_service(generator):
 
 
 def test_site_precomputation_complete(generator):
-    for name in SERVICES:
-        by_resolver = generator._site_by_resolver[name]
-        assert len(by_resolver) == len(generator.resolvers_pool)
-        assert np.all(by_resolver >= 0)
-        by_country = generator._site_by_country[name]
-        assert set(by_country) == set(generator.countries_pool)
+    tables = {
+        "egress": (generator._egress_site, generator.resolvers_pool),
+        "country": (generator._country_site, generator.countries_pool),
+    }
+    for table, pool in tables.values():
+        assert table.shape == (len(SERVICES), len(pool))
+        assert np.all(table >= 0)
 
 
 def test_select_sites_anycast_ignores_resolver(generator):
-    svc = SERVICES["Netflix"]  # ANYCAST policy
+    svc_idx = list(SERVICES).index("Netflix")  # ANYCAST policy
+    assert not generator._svc_ecs[svc_idx]  # so its flows carry no ECS draw
     flow_cust = np.arange(min(50, len(generator.population)))
-    sites = generator._select_sites(svc, "Congo", flow_cust, len(flow_cust))
+    n = len(flow_cust)
+    sites = generator._select_sites(
+        generator.countries_pool.index("Congo"),
+        np.full(n, svc_idx),
+        flow_cust,
+        np.full(n, np.nan),
+    )
     assert len(set(sites.tolist())) == 1  # one egress-nearest node for all
 
 
 def test_select_sites_ecs_mixes_locations(generator):
     """Google-resolver customers split between country node and egress
     node; everyone else sticks with the resolver egress."""
-    svc = SERVICES["Youtube"]
+    svc_idx = list(SERVICES).index("Youtube")
+    assert generator._svc_ecs[svc_idx]
     google_idx = generator.resolvers_pool.index("Google")
     google_custs = np.flatnonzero(generator.cust_resolver_idx == google_idx)
-    congo_custs = np.flatnonzero(
-        generator.cust_country_idx == generator.countries_pool.index("Congo")
-    )
+    congo_idx = generator.countries_pool.index("Congo")
+    congo_custs = np.flatnonzero(generator.cust_country_idx == congo_idx)
     custs = np.intersect1d(google_custs, congo_custs)
     if len(custs) == 0:
         pytest.skip("no Congolese Google customers in this draw")
     flows = np.repeat(custs, 40)
-    sites = generator._select_sites(svc, "Congo", flows, len(flows))
+    sites = generator._select_sites(
+        congo_idx,
+        np.full(len(flows), svc_idx),
+        flows,
+        generator.rng.random(len(flows)),
+    )
     assert len(set(sites.tolist())) >= 2  # ECS coin flips both ways
 
 
 def test_sample_duration_positive_and_plan_bounded(generator, rng):
-    svc = SERVICES["Netflix"]
-    n = 500
+    n = 500  # Netflix-like video flows
     flow_cust = rng.integers(0, len(generator.population), n)
     bytes_down = rng.lognormal(15, 1, n)
     util = np.full(n, 0.5)
     sat = np.full(n, 700.0)
-    durations = generator._sample_duration(svc, flow_cust, bytes_down, util, sat, "Europe")
+    draws = generator._draw_duration(True, n, rng)
+    durations = generator._duration(flow_cust, bytes_down, util, sat, "Europe", draws)
     assert np.all(durations > 0)
     implied = bytes_down * 8 / durations / 1e6
     assert np.all(implied <= generator.cust_plan_down[flow_cust] * 1.01)
