@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.classify import ServiceClassifier
 from repro.kernels import sniff
-from repro.stream.rollup import HourlyRollup
+from repro.stream.rollup import HourlyRollup, StreamRollup
 from repro.flowmeter.meter import FlowMeter
 from repro.net.packet import IPProtocol, Packet, TCPFlags
 from repro.scenario import get_scenario
@@ -185,6 +185,36 @@ def test_micro_rollup(benchmark, frame):
     rollup = benchmark(HourlyRollup.from_frame, frame)
     assert len(rollup) > 100
     assert rollup.reduction_factor(frame) > 10
+
+
+@pytest.fixture(scope="module")
+def fold_window():
+    """Window 0 of the stream-geo capture shape (600 baseline-geo
+    customers at flow_scale 0.4 in 2 shards): about 320k flows."""
+    from repro.stream.producer import WindowedProducer
+
+    generator = get_scenario("baseline-geo").with_overrides({
+        "population.n_customers": 600,
+        "workload.flow_scale": 0.4,
+        "workload.n_shards": 2,
+        "workload.days": 6,
+        "workload.seed": 651,
+    }).build_generator()
+    producer = WindowedProducer(generator, 1)
+    return producer.generate_window(producer.windows[0])
+
+
+@pytest.mark.benchmark(group="micro")
+def test_micro_stream_fold(benchmark, fold_window):
+    """``StreamRollup.update`` of one stream-geo window into a live
+    rollup, as the commit thread folds each window (the per-pool
+    lookups are built by the first fold, outside the timing)."""
+    rollup = StreamRollup.for_frame(fold_window).update(fold_window)
+    benchmark.pedantic(
+        rollup.update, args=(fold_window,), rounds=10, iterations=1, warmup_rounds=1
+    )
+    assert len(fold_window) > 250_000
+    assert rollup.flows_total == 12 * len(fold_window)
 
 
 @pytest.fixture(scope="module")

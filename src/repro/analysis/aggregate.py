@@ -76,13 +76,31 @@ def hourly_volume_utc(frame: FlowFrame, country: str, robust: bool = True) -> np
     return totals / peak if peak > 0 else totals
 
 
-def local_hour_of(frame: FlowFrame) -> np.ndarray:
-    """Approximate local hour per flow (longitude/15 offset)."""
-    offsets = np.array(
-        [lon_hour_shift(COUNTRIES[name]) for name in frame.countries],
-        dtype=np.float64,
+def country_hour_offsets(countries: Sequence[str]) -> np.ndarray:
+    """Local-time offset (hours, longitude/15) of each pooled country."""
+    return np.array(
+        [lon_hour_shift(COUNTRIES[name]) for name in countries], dtype=np.float64
     )
-    return (frame.hour_utc + offsets[frame.country_idx]) % 24.0
+
+
+def local_hour_of(frame: FlowFrame, offsets: Optional[np.ndarray] = None) -> np.ndarray:
+    """Approximate local hour per flow (longitude/15 offset).
+
+    ``offsets`` is :func:`country_hour_offsets` of ``frame.countries``,
+    for callers that keep it across frames of one pool.
+    """
+    if offsets is None:
+        offsets = country_hour_offsets(frame.countries)
+    local = frame.hour_utc + offsets[frame.country_idx]
+    if len(local) and -24.0 <= local.min() and local.max() < 48.0:
+        # ``local % 24.0`` bit for bit on [-24, 48), at a fraction of
+        # its cost: np.remainder is the exact x - 24 from 24 up and the
+        # rounded x + 24 below 0; adding 0.0 turns -0.0 into its +0.0.
+        np.subtract(local, 24.0, out=local, where=local >= 24.0)
+        np.add(local, 24.0, out=local, where=local < 0.0)
+        local += 0.0
+        return local
+    return local % 24.0
 
 
 def customer_day_flow_counts(frame: FlowFrame, country: str) -> np.ndarray:

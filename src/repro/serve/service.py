@@ -75,10 +75,17 @@ class EndpointStats:
             self.errors += 1
         self._latencies_ms.append(latency_s * 1000.0)
 
-    def percentile_ms(self, q: float) -> float:
-        if not self._latencies_ms:
-            return float("nan")
-        return float(np.percentile(self._latencies_ms, q))
+    def samples_ms(self) -> List[float]:
+        """A copy of the retained latencies (one C-level list copy)."""
+        return list(self._latencies_ms)
+
+
+def _latency_quantiles_ms(samples: List[float]) -> Tuple[float, float]:
+    """(p50, p99) of ``samples`` in one ``np.percentile`` call."""
+    if not samples:
+        return float("nan"), float("nan")
+    p50, p99 = np.percentile(samples, (50, 99))
+    return float(p50), float(p99)
 
 
 class ServeStats:
@@ -109,19 +116,28 @@ class ServeStats:
         return self.requests_total / elapsed if elapsed > 0 else 0.0
 
     def rows(self) -> List[dict]:
+        # Copy counters and samples under the lock; the quantiles are
+        # computed outside it, so observe() never waits on them.
         with self._lock:
             elapsed = time.monotonic() - self._started
-            return [
-                {
-                    "endpoint": s.endpoint,
-                    "requests": s.requests,
-                    "errors": s.errors,
-                    "p50_ms": s.percentile_ms(50),
-                    "p99_ms": s.percentile_ms(99),
-                    "qps": s.requests / elapsed if elapsed > 0 else 0.0,
-                }
+            taken = [
+                (s.endpoint, s.requests, s.errors, s.samples_ms())
                 for s in sorted(self.endpoints.values(), key=lambda s: s.endpoint)
             ]
+        rows = []
+        for endpoint, requests, errors, samples in taken:
+            p50, p99 = _latency_quantiles_ms(samples)
+            rows.append(
+                {
+                    "endpoint": endpoint,
+                    "requests": requests,
+                    "errors": errors,
+                    "p50_ms": p50,
+                    "p99_ms": p99,
+                    "qps": requests / elapsed if elapsed > 0 else 0.0,
+                }
+            )
+        return rows
 
 
 def render_serve_telemetry(stats: ServeStats) -> str:

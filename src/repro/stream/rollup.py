@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.aggregate import local_hour_of
+from repro.analysis.aggregate import country_hour_offsets, local_hour_of
 from repro.analysis.source import CaptureError
 from repro.faults import FaultInjector, atomic_write_bytes
 from repro.analysis.classify import ServiceClassifier
@@ -84,6 +84,62 @@ PEAK_HOURS = (13.0, 20.0)
 IDLE_FLOW_THRESHOLD = 250.0
 
 _TCP_L7 = (L7Protocol.HTTPS, L7Protocol.HTTP, L7Protocol.OTHER_TCP)
+_TCP_L7_IDX = tuple(L7_ORDER.index(p) for p in _TCP_L7)
+
+
+def _dense_ok(size: int, n: int) -> bool:
+    """Whether a table of ``size`` bins is cheap beside ``n`` flows."""
+    return size <= 4 * n + (1 << 16)
+
+
+def _dense_rank(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rank, distinct)`` with ``distinct[rank] == values`` and
+    ``distinct`` ascending, so ``rank`` orders the values as they order
+    themselves. A presence table when the span is small, else a sort."""
+    lo, hi = values.min(), values.max()
+    if lo == hi:
+        return np.zeros(len(values), dtype=np.int64), np.array([lo])
+    span = int(hi) - int(lo) + 1
+    if not _dense_ok(span, len(values)):
+        distinct, rank = np.unique(values, return_inverse=True)
+        return rank, distinct
+    offset = np.subtract(values, lo, dtype=np.int64)
+    present = np.bincount(offset, minlength=span) > 0
+    distinct = np.flatnonzero(present) + int(lo)
+    if len(distinct) == span:
+        return offset, distinct
+    return (np.cumsum(present) - 1)[offset], distinct
+
+
+def _distinct(keys: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``keys`` (ints in ``[0, size)``), ascending."""
+    if _dense_ok(size, len(keys)):
+        return np.flatnonzero(np.bincount(keys, minlength=size))
+    return np.unique(keys)
+
+
+def _hour_of_day(hours: np.ndarray) -> np.ndarray:
+    """``hours.astype(np.int64) % 24``, skipping the modulo when every
+    hour is already in 0..23."""
+    hour = hours.astype(np.int64)
+    if len(hour) and (hour.min() < 0 or hour.max() > 23):
+        hour %= 24
+    return hour
+
+
+def _night_peak(local_hour: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Masks of the Figure 8a/11 night and peak local-hour periods."""
+    return (
+        (local_hour >= NIGHT_HOURS[0]) & (local_hour < NIGHT_HOURS[1]),
+        (local_hour >= PEAK_HOURS[0]) & (local_hour < PEAK_HOURS[1]),
+    )
+
+
+def _compact(keys: np.ndarray, size: int) -> np.ndarray:
+    """``keys`` (ints in ``[0, size)``) in the narrowest sort dtype: a
+    stable sort of uint16 is a radix sort, and any dtype holding the
+    keys gives the same stable permutation."""
+    return keys.astype(np.uint16) if size <= 1 << 16 else keys
 
 
 def _decade_edges(lo_exp: int, hi_exp: int, per_decade: int = 12) -> np.ndarray:
@@ -91,6 +147,27 @@ def _decade_edges(lo_exp: int, hi_exp: int, per_decade: int = 12) -> np.ndarray:
     return 10.0 ** (
         np.arange(0, (hi_exp - lo_exp) * per_decade + 1) / per_decade + lo_exp
     )
+
+
+def _slot_guess(edges: np.ndarray) -> Optional[Tuple[bool, float, float]]:
+    """``(log, origin, scale)`` of linear or log-uniform ``edges``.
+
+    ``floor((f(x) - origin) * scale) + 1``, with ``f`` the identity or
+    ``log10``, puts every edge within 1e-6 of its own slot, so for any
+    ``x`` it lands at most one slot away from
+    ``searchsorted(edges, x, side="right")`` (rounding moves the
+    position by far less than a bin). ``None`` for any other spacing.
+    """
+    nb = len(edges) - 1
+    candidates = [(False, edges)]
+    if edges[0] > 0:
+        candidates.append((True, np.log10(edges)))
+    for log, position in candidates:
+        origin = float(position[0])
+        scale = nb / float(position[-1] - position[0])
+        if np.all(np.abs((position - origin) * scale - np.arange(nb + 1)) < 1e-6):
+            return log, origin, scale
+    return None
 
 
 class HistFamily:
@@ -110,10 +187,46 @@ class HistFamily:
         self.counts = np.zeros((n_rows, len(self.edges) - 1), dtype=np.float64)
         self.under = np.zeros(n_rows, dtype=np.float64)
         self.over = np.zeros(n_rows, dtype=np.float64)
+        self._guess = _slot_guess(self.edges)
+        # Slot s holds ext[s] <= x < ext[s + 1].
+        self._ext = np.concatenate(([-np.inf], self.edges, [np.inf]))
 
     @property
     def n_rows(self) -> int:
         return self.counts.shape[0]
+
+    def slots(self, values: np.ndarray) -> np.ndarray:
+        """Slot of each finite value: ``searchsorted(edges, values,
+        side="right")``, so 0 is the underflow, 1..nb the bins and
+        nb + 1 the overflow.
+
+        Linear and log-uniform edges take an arithmetic guess, then
+        compare ``x`` with the real edges on either side of it, which is
+        exact because the guess is never more than one slot off.
+        Families binning the same values share one slot array.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if self._guess is None:
+            return np.searchsorted(self.edges, values, side="right")
+        log, origin, scale = self._guess
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            position = np.log10(values) if log else values - origin
+            if log:
+                position -= origin
+            position *= scale
+        np.floor(position, out=position)
+        position += 1.0
+        # fmax/fmin also send log10 of x <= 0 (-inf, nan) to slot 0.
+        np.fmax(position, 0.0, out=position)
+        np.fmin(position, float(len(self.edges)), out=position)
+        slot = position.astype(np.intp)
+        # The true slot is guess - 1 plus the number of the two edges
+        # around the guess that x reaches (int8 steps: no bool casts).
+        step = np.less_equal(self._ext.take(slot), values).view(np.int8)
+        step += np.less_equal(self._ext[1:].take(slot), values).view(np.int8)
+        step -= 1
+        slot += step
+        return slot
 
     def update(
         self,
@@ -128,15 +241,23 @@ class HistFamily:
             rows, values = rows[finite], values[finite]
             if weights is not None:
                 weights = weights[finite]
-        if len(values) == 0:
+        self.add_slots(rows, self.slots(values), weights)
+
+    def add_slots(
+        self,
+        rows: np.ndarray,
+        slots: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+    ) -> None:
+        """Fold values already binned by :meth:`slots` into the bank."""
+        if len(slots) == 0:
             return
         # One bincount over (row, slot): slot 0 is the underflow, 1..nb
         # the bins, nb + 1 the overflow. Each slot sums the same values
         # in the same order as a per-region bincount would, and count
         # families count unweighted (exact integers, even in float64).
         nb = self.counts.shape[1]
-        slot = np.searchsorted(self.edges, values, side="right")
-        flat = rows.astype(np.int64) * (nb + 2) + slot
+        flat = rows.astype(np.int64, copy=False) * (nb + 2) + slots
         if weights is not None:
             weights = np.asarray(weights, np.float64)
         banks = np.bincount(
@@ -312,23 +433,54 @@ class StreamRollup:
             re.compile(TABLE2_DOMAIN_GROUPS[name]) for name in self._t2_groups
         ]
         self._t2: Dict[int, np.ndarray] = {}
-        self._t2_domain_group: Dict[str, int] = {}
+        # Pool constants, built by the first fold that needs them. Not
+        # state: never saved, merged, copied or digested.
+        self._hour_offsets: Optional[np.ndarray] = None
+        self._domain_tables: Optional[tuple] = None
 
-    def _t2_group_of(self, domain: str) -> int:
-        """Table 2 domain group of ``domain`` (-1 for none), memoized:
-        every window of a capture carries the same domain pool."""
-        group = self._t2_domain_group.get(domain)
-        if group is None:
-            group = next(
-                (
-                    g_idx
-                    for g_idx, pattern in enumerate(self._t2_compiled)
-                    if pattern.search(domain)
-                ),
-                -1,
+    def _domain_lookups(
+        self, domains: Sequence[str]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-domain classifier label, Figure 7 category and Table 2
+        domain group of a domain pool (-1 for none).
+
+        Each table ends in an extra -1 entry, which ``domain_idx == -1``
+        (a flow without a domain) indexes. Built once per pool: every
+        window of a capture carries the same domain pool.
+        """
+        if self._domain_tables is None or self._domain_tables[0] != domains:
+            pool_labels, names = self._classifier.classify_pool(domains)
+            if names != self.classifier_services:
+                raise ValueError("classifier rules changed under a live rollup")
+            labels = np.append(pool_labels, -1).astype(np.int16)
+            cat_of_label = np.array(
+                [
+                    FIG7_CATEGORIES.index(rule.category)
+                    if rule.category in FIG7_CATEGORIES
+                    else -1
+                    for rule in self._classifier.rules
+                ]
+                + [-1],
+                dtype=np.int16,
             )
-            self._t2_domain_group[domain] = group
-        return group
+            groups = [
+                next(
+                    (
+                        g_idx
+                        for g_idx, pattern in enumerate(self._t2_compiled)
+                        if pattern.search(domain)
+                    ),
+                    -1,
+                )
+                for domain in domains
+            ]
+            self._domain_tables = (
+                list(domains),
+                labels,
+                cat_of_label[labels],
+                np.array(groups + [-1], dtype=np.int16),
+            )
+        return self._domain_tables[1:]
 
     @property
     def _t2_vec_len(self) -> int:
@@ -366,6 +518,11 @@ class StreamRollup:
         The chunk must contain *all* flows of every (customer, day)
         pair it touches — true for whole windows and for single-shard
         windows, since a customer lives in exactly one shard.
+
+        One pass: every per-flow quantity is computed once, and only
+        for the flows that need it; the state comes out bit-identical
+        to binning each family with ``searchsorted`` and grouping on
+        int64 sort keys (the exactness rules are in DESIGN §8).
         """
         self.windows_folded += 1
         if frame is None or len(frame) == 0:
@@ -378,7 +535,7 @@ class StreamRollup:
             raise ValueError("frame pools do not match this rollup")
         nc = len(self.countries)
         c = frame.country_idx.astype(np.int64)
-        hour = frame.hour_utc.astype(np.int64) % 24
+        hour = _hour_of_day(frame.hour_utc)
         vol = frame.bytes_total()
         self.flows_total += len(frame)
         self.bytes_up_c += np.bincount(c, weights=frame.bytes_up, minlength=nc)
@@ -390,48 +547,89 @@ class StreamRollup:
         self.vol_clh += np.bincount(
             flat_l7, weights=vol, minlength=nc * nl * 24
         ).reshape(nc, nl, 24)
+        del flat_l7
 
         ns1 = len(self.services) + 1
         svc = frame.service_true_idx.astype(np.int64) + 1
         flat_svc = (c * ns1 + svc) * 24 + hour
+        del svc
         self.vol_csh += np.bincount(
             flat_svc, weights=vol, minlength=nc * ns1 * 24
         ).reshape(nc, ns1, 24)
+        del flat_svc
 
-        for day in np.unique(frame.day):
-            mask = frame.day == day
-            matrix = self.vol_day.setdefault(
-                int(day), np.zeros((nc, 24), dtype=np.float64)
-            )
-            matrix += np.bincount(
-                c[mask] * 24 + hour[mask], weights=vol[mask], minlength=nc * 24
-            ).reshape(nc, 24)
+        # Dense ranks order the flows exactly as customer ids and days
+        # do, so one (customer, day) group id serves every grouping.
+        cust_rank, cust_ids = _dense_rank(frame.customer_id)
+        day_rank, days = _dense_rank(frame.day)
+        self._update_days(c * 24 + hour, day_rank, days, vol)
+        del hour
+        n_days = len(days)
+        if n_days == 1:
+            gid, cells = cust_rank, np.arange(len(cust_ids))
+        else:
+            gid, cells = _dense_rank(cust_rank * n_days + day_rank)
+        del day_rank
+        group_country = self._update_customer_days(frame, c, gid, len(cells))
+        group_cust = cust_ids[cells // n_days]
+        for idx in np.unique(group_country).tolist():
+            self._customers[idx].update(group_cust[group_country == idx].tolist())
 
-        for idx in np.unique(c):
-            self._customers[int(idx)].update(
-                int(x) for x in np.unique(frame.customer_id[c == idx])
-            )
-
-        self._update_customer_days(frame, c)
         self._update_rtt(frame, c, vol)
-        self._update_services(frame, c, vol)
-        self._update_dns(frame, c)
+        self._update_services(frame, vol, gid, group_country)
+        del gid
+        self._update_dns(frame, c, cust_rank, cust_ids)
         self._update_qoe(frame, c)
         return self
 
-    def _update_customer_days(self, frame: FlowFrame, c: np.ndarray) -> None:
-        # One sort pass: group by (customer, day), each group belongs
-        # to one country (a customer has one country).
-        combined = frame.customer_id.astype(np.int64) * 100_000 + frame.day.astype(
-            np.int64
-        )
-        order = np.argsort(combined, kind="stable")
-        combined = combined[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(combined)) + 1))
-        flows = np.diff(np.concatenate((starts, [len(combined)]))).astype(np.float64)
+    def _update_days(
+        self,
+        cell: np.ndarray,
+        day_rank: np.ndarray,
+        days: np.ndarray,
+        vol: np.ndarray,
+    ) -> None:
+        """Figure 4: per-day (country, hour) volume; ``cell`` is
+        country * 24 + hour. Each bin sums its flows in frame order,
+        whether all days share one bincount or each day has its own."""
+        nc = len(self.countries)
+        n_days = len(days)
+        if n_days == 1:
+            banks = [np.bincount(cell, weights=vol, minlength=nc * 24).reshape(nc, 24)]
+        elif _dense_ok(n_days * nc * 24, len(cell)):
+            banks = np.bincount(
+                day_rank * (nc * 24) + cell, weights=vol, minlength=n_days * nc * 24
+            ).reshape(n_days, nc, 24)
+        else:
+            banks = (
+                np.bincount(
+                    cell[day_rank == i], weights=vol[day_rank == i], minlength=nc * 24
+                ).reshape(nc, 24)
+                for i in range(n_days)
+            )
+        for day, bank in zip(days.tolist(), banks):
+            matrix = self.vol_day.setdefault(day, np.zeros((nc, 24), dtype=np.float64))
+            matrix += bank
+
+    def _update_customer_days(
+        self, frame: FlowFrame, c: np.ndarray, gid: np.ndarray, n_groups: int
+    ) -> np.ndarray:
+        """Figure 5 customer-day sketches; returns each group's country.
+
+        ``gid`` numbers the (customer, day) groups in (customer, day)
+        order, so its stable sort is the permutation that sorting on
+        ``customer * 100_000 + day`` gives, and each group sums its
+        bytes in frame order. A customer has one country, so a group's
+        country is that of any of its flows.
+        """
+        order = np.argsort(_compact(gid, n_groups), kind="stable")
+        flows = np.bincount(gid, minlength=n_groups)
+        starts = np.concatenate(([0], np.cumsum(flows[:-1])))
         down = np.add.reduceat(frame.bytes_down[order], starts)
         up = np.add.reduceat(frame.bytes_up[order], starts)
-        group_country = c[order][starts]
+        group_country = c[order[starts]]
+        del order
+        flows = flows.astype(np.float64)
 
         nc = len(self.countries)
         self.cd_total_c += np.bincount(group_country, minlength=nc).astype(np.int64)
@@ -443,94 +641,110 @@ class StreamRollup:
         active = ~idle
         self.h5_down.update(group_country[active], down[active])
         self.h5_up.update(group_country[active], up[active])
+        return group_country
 
     def _update_rtt(self, frame: FlowFrame, c: np.ndarray, vol: np.ndarray) -> None:
-        local_hour = local_hour_of(frame)
-        has_sat = np.isfinite(frame.sat_rtt_ms)
-        night = (local_hour >= NIGHT_HOURS[0]) & (local_hour < NIGHT_HOURS[1]) & has_sat
-        peak = (local_hour >= PEAK_HOURS[0]) & (local_hour < PEAK_HOURS[1]) & has_sat
-        self.h8_night.update(c[night], frame.sat_rtt_ms[night])
-        self.h8_peak.update(c[peak], frame.sat_rtt_ms[peak])
-        hour_rows = c[has_sat] * 24 + local_hour[has_sat].astype(np.int64) % 24
-        self.h8_hour.update(hour_rows, frame.sat_rtt_ms[has_sat])
-        nc = len(self.countries)
+        if self._hour_offsets is None:
+            self._hour_offsets = country_hour_offsets(self.countries)
+        local_hour = local_hour_of(frame, self._hour_offsets)
+
+        # Figure 8: one slot array serves the night, peak and
+        # local-hour banks.
+        has_sat = np.flatnonzero(np.isfinite(frame.sat_rtt_ms))
+        sat = frame.sat_rtt_ms[has_sat]
+        rows = c[has_sat]
+        hours = local_hour[has_sat]
+        del has_sat
+        slot = self.h8_hour.slots(sat)
+        night, peak = _night_peak(hours)
+        self.h8_night.add_slots(rows[night], slot[night])
+        self.h8_peak.add_slots(rows[peak], slot[peak])
+        self.h8_hour.add_slots(rows * 24 + _hour_of_day(hours), slot)
+        del hours, slot
         either = night | peak
         if either.any():
-            sat = frame.sat_rtt_ms[either].astype(np.float64)
-            np.minimum.at(self.sat_min_c, c[either], sat)
+            np.minimum.at(self.sat_min_c, rows[either], sat[either].astype(np.float64))
+        del sat, rows, night, peak, either
 
-        tcp = np.isin(frame.l7_idx, [L7_ORDER.index(p) for p in _TCP_L7])
-        ground_ok = tcp & np.isfinite(frame.ground_rtt_ms)
-        rtt = frame.ground_rtt_ms[ground_ok].astype(np.float64)
+        # Figure 9: count- and volume-weighted banks share one slot array.
+        tcp = np.zeros(len(frame), dtype=bool)
+        for l7 in _TCP_L7_IDX:
+            tcp |= frame.l7_idx == l7
+        ground_ok = np.flatnonzero(tcp & np.isfinite(frame.ground_rtt_ms))
+        del tcp
         rows = c[ground_ok]
-        self.h9_cnt.update(rows, rtt)
-        self.h9_vol.update(rows, rtt, weights=vol[ground_ok])
+        slot = self.h9_cnt.slots(frame.ground_rtt_ms[ground_ok])
+        self.h9_cnt.add_slots(rows, slot)
+        self.h9_vol.add_slots(rows, slot, weights=vol[ground_ok])
+        del ground_ok, rows, slot
 
         # Figure 11: bulk-download throughput (Mb/s), overall plus the
-        # same night/peak local-hour periods as Figure 8a.
+        # same night/peak local-hour periods as Figure 8a, computed for
+        # the bulk flows only.
+        bulk = np.flatnonzero(frame.bytes_down >= BULK_FLOW_MIN_BYTES)
         with np.errstate(divide="ignore", invalid="ignore"):
-            mbps = frame.bytes_down * 8.0 / frame.duration_s / 1e6
-        bulk = (frame.bytes_down >= BULK_FLOW_MIN_BYTES) & np.isfinite(mbps)
-        night_b = bulk & (local_hour >= NIGHT_HOURS[0]) & (local_hour < NIGHT_HOURS[1])
-        peak_b = bulk & (local_hour >= PEAK_HOURS[0]) & (local_hour < PEAK_HOURS[1])
-        self.h11_all.update(c[bulk], mbps[bulk])
-        self.h11_night.update(c[night_b], mbps[night_b])
-        self.h11_peak.update(c[peak_b], mbps[peak_b])
+            mbps = frame.bytes_down[bulk] * 8.0 / frame.duration_s[bulk] / 1e6
+        finite = np.isfinite(mbps)
+        bulk, mbps = bulk[finite], mbps[finite]
+        rows = c[bulk]
+        hours = local_hour[bulk]
+        slot = self.h11_all.slots(mbps)
+        night, peak = _night_peak(hours)
+        self.h11_all.add_slots(rows, slot)
+        self.h11_night.add_slots(rows[night], slot[night])
+        self.h11_peak.add_slots(rows[peak], slot[peak])
 
-    def _update_services(self, frame: FlowFrame, c: np.ndarray, vol: np.ndarray) -> None:
+    def _update_services(
+        self,
+        frame: FlowFrame,
+        vol: np.ndarray,
+        gid: np.ndarray,
+        group_country: np.ndarray,
+    ) -> None:
         """Figures 6/7: classifier-labelled customer-day aggregates.
 
         Labels come from the Table 3 regexes over the window's domain
-        pool (memoized — the pool is identical across windows), *not*
-        from the generator's ground truth, mirroring the frame paths.
+        pool (looked up once per pool), *not* from the generator's
+        ground truth, mirroring the frame paths.
         """
-        pool_labels, names = self._classifier.classify_pool(frame.domains)
-        if names != self.classifier_services:
-            raise ValueError("classifier rules changed under a live rollup")
-        labels = np.full(len(frame), -1, dtype=np.int16)
-        has_domain = frame.domain_idx >= 0
-        labels[has_domain] = pool_labels[frame.domain_idx[has_domain]]
-        matched = labels >= 0
-        if not matched.any():
+        labels, categories, _ = self._domain_lookups(frame.domains)
+        label = labels[frame.domain_idx]
+        matched = np.flatnonzero(label >= 0)
+        if len(matched) == 0:
             return
         nc = len(self.countries)
-        lab = labels[matched].astype(np.int64)
-        cust = frame.customer_id[matched].astype(np.int64)
-        day = frame.day[matched].astype(np.int64)
-        cc = c[matched]
+        n_groups = len(group_country)
+        n_svc = len(self.classifier_services)
 
         # Figure 6: distinct customers per (country, service, day),
-        # summed over days — group by (service, customer, day).
-        combined = (lab * 1_000_000 + cust) * 100_000 + day
-        order = np.argsort(combined, kind="stable")
-        starts = np.concatenate(
-            ([0], np.flatnonzero(np.diff(combined[order])) + 1)
+        # summed over days — distinct (service, customer-day) pairs.
+        pairs = _distinct(
+            label[matched].astype(np.int64) * n_groups + gid[matched],
+            n_svc * n_groups,
         )
-        g_country = cc[order][starts]
-        g_svc = lab[order][starts]
-        n_svc = len(self.classifier_services)
+        del label
         self.svc_cust_days += np.bincount(
-            g_country.astype(np.int64) * n_svc + g_svc, minlength=nc * n_svc
-        ).reshape(nc, n_svc).astype(np.int64)
+            group_country[pairs % n_groups] * n_svc + pairs // n_groups,
+            minlength=nc * n_svc,
+        ).reshape(nc, n_svc)
 
-        # Figure 7: customer-day volume per category.
-        cat_of_label = np.full(n_svc, -1, dtype=np.int64)
-        for i, rule in enumerate(self._classifier.rules):
-            if rule.category in FIG7_CATEGORIES:
-                cat_of_label[i] = FIG7_CATEGORIES.index(rule.category)
-        cat = cat_of_label[lab]
-        has_cat = cat >= 0
+        # Figure 7: customer-day volume per category. The stable sort
+        # on (category, customer-day) keeps each group's flows in frame
+        # order, so each group's pairwise sum is unchanged.
+        category = categories[frame.domain_idx[matched]]
+        has_cat = category >= 0
         if not has_cat.any():
             return
-        combined = ((cat[has_cat] * 1_000_000 + cust[has_cat])) * 100_000 + day[has_cat]
-        values = vol[matched][has_cat]
-        order = np.argsort(combined, kind="stable")
-        combined = combined[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(combined)) + 1))
-        sums = np.add.reduceat(values[order], starts)
-        g_country = cc[has_cat][order][starts].astype(np.int64)
-        g_cat = cat[has_cat][order][starts]
-        self.h7_volume.update(g_cat * nc + g_country, sums)
+        flows = matched[has_cat]
+        key = category[has_cat].astype(np.int64) * n_groups + gid[flows]
+        order = np.argsort(_compact(key, len(FIG7_CATEGORIES) * n_groups), kind="stable")
+        key = key[order]
+        starts = np.concatenate(([0], np.flatnonzero(key[1:] != key[:-1]) + 1))
+        sums = np.add.reduceat(vol[flows][order], starts)
+        cells = key[starts]
+        self.h7_volume.update(
+            (cells // n_groups) * nc + group_country[cells % n_groups], sums
+        )
 
     def _update_qoe(self, frame: FlowFrame, c: np.ndarray) -> None:
         """Figure 12: per-(country, plan) video-session QoE.
@@ -562,59 +776,61 @@ class StreamRollup:
         self.h12_rebuf.update(rows, rebuf[ok])
         self.h12_level.update(rows, level[ok])
 
-    def _update_dns(self, frame: FlowFrame, c: np.ndarray) -> None:
+    def _update_dns(
+        self,
+        frame: FlowFrame,
+        c: np.ndarray,
+        cust_rank: np.ndarray,
+        cust_ids: np.ndarray,
+    ) -> None:
         """Figure 10 counters/histograms and the Table 2 customer bank."""
         nr = len(self.resolvers)
         if nr == 0:
             return
         nc = len(self.countries)
-        dns = frame.resolver_idx >= 0
-        res = frame.resolver_idx.astype(np.int64)
+        dns = np.flatnonzero(frame.resolver_idx >= 0)
+        res = frame.resolver_idx[dns].astype(np.int64)
         self.dns_cr += np.bincount(
-            c[dns] * nr + res[dns], minlength=nc * nr
+            c[dns] * nr + res, minlength=nc * nr
         ).reshape(nc, nr).astype(np.int64)
-        resp_ok = dns & np.isfinite(frame.dns_response_ms)
-        self.h10_resp.update(res[resp_ok], frame.dns_response_ms[resp_ok])
+        self.h10_resp.update(res, frame.dns_response_ms[dns])
 
-        # Table 2 bank: group flows by customer, then accumulate that
-        # customer's resolver counts and per-domain-group RTT sums.
-        ng = len(self._t2_groups)
-        pool_group = np.array(
-            [self._t2_group_of(domain) for domain in frame.domains], dtype=np.int16
-        )
-        flow_group = np.full(len(frame), -1, dtype=np.int16)
-        has_domain = frame.domain_idx >= 0
-        flow_group[has_domain] = pool_group[frame.domain_idx[has_domain]]
-        rtt_ok = np.isfinite(frame.ground_rtt_ms) & (flow_group >= 0)
-
-        relevant = dns | rtt_ok
-        if not relevant.any():
+        # Table 2 bank: each customer's resolver counts plus ground-RTT
+        # sum and count per domain group, one bincount each over
+        # (customer, column); every bin sums its flows in frame order,
+        # as a per-customer bincount does.
+        _, _, groups = self._domain_lookups(frame.domains)
+        group = groups[frame.domain_idx]
+        rtt = np.flatnonzero(np.isfinite(frame.ground_rtt_ms) & (group >= 0))
+        if len(dns) == 0 and len(rtt) == 0:
             return
-        cust = frame.customer_id[relevant].astype(np.int64)
-        r_rel = res[relevant]
-        g_rel = flow_group[relevant].astype(np.int64)
-        rtt_rel = frame.ground_rtt_ms[relevant].astype(np.float64)
-        dns_rel = dns[relevant]
-        rtt_rel_ok = rtt_ok[relevant]
-        order = np.argsort(cust, kind="stable")
-        cust = cust[order]
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(cust)) + 1))
-        ends = np.concatenate((starts[1:], [len(cust)]))
-        for lo, hi in zip(starts, ends):
-            seg = order[lo:hi]
-            vec = self._t2.setdefault(
-                int(cust[lo]), np.zeros(self._t2_vec_len, dtype=np.float64)
-            )
-            seg_dns = seg[dns_rel[order[lo:hi]]]
-            if len(seg_dns):
-                vec[:nr] += np.bincount(r_rel[seg_dns], minlength=nr)
-            seg_rtt = seg[rtt_rel_ok[order[lo:hi]]]
-            if len(seg_rtt):
-                groups = g_rel[seg_rtt]
-                vec[nr : nr + ng] += np.bincount(
-                    groups, weights=rtt_rel[seg_rtt], minlength=ng
-                )
-                vec[nr + ng :] += np.bincount(groups, minlength=ng)
+        ng = len(self._t2_groups)
+        n_cust = len(cust_ids)
+        dns_rank = cust_rank[dns]
+        rtt_rank = cust_rank[rtt]
+        rtt_key = rtt_rank * ng + group[rtt]
+        bank = np.concatenate(
+            (
+                np.bincount(dns_rank * nr + res, minlength=n_cust * nr).reshape(
+                    n_cust, nr
+                ),
+                np.bincount(
+                    rtt_key,
+                    weights=frame.ground_rtt_ms[rtt].astype(np.float64),
+                    minlength=n_cust * ng,
+                ).reshape(n_cust, ng),
+                np.bincount(rtt_key, minlength=n_cust * ng).reshape(n_cust, ng),
+            ),
+            axis=1,
+        )
+        touched = np.zeros(n_cust, dtype=bool)
+        touched[dns_rank] = True
+        touched[rtt_rank] = True
+        for cid, row in zip(cust_ids[touched].tolist(), bank[touched]):
+            vec = self._t2.get(cid)
+            if vec is None:
+                vec = self._t2[cid] = np.zeros(self._t2_vec_len, dtype=np.float64)
+            vec += row
 
     # -- merge ---------------------------------------------------------
 

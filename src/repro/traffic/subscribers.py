@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,23 +96,22 @@ def _choose_plan(
     return names[rng.choice(len(names), p=weights / weights.sum())]
 
 
-def _daily_use_probs(
-    profile: CountryProfile,
-    subscriber_type: SubscriberType,
-    rng: np.random.Generator,
-) -> Dict[str, float]:
-    """Per-service daily usage probability for one subscriber.
+def _daily_use_table(
+    profile: CountryProfile, subscriber_type: SubscriberType
+) -> List[Tuple[str, float, float]]:
+    """``(service, adoption probability, daily usage probability)`` of
+    every service one subscriber type of a country may adopt.
 
     Calibrated so the *population-level* daily usage matches the
     Figure 6 matrix: community APs (many users) touch adopted services
     almost daily, idle CPEs rarely, and the household rate is solved
     from the country's type mix so the expectation lands on the
-    published percentage. Each subscriber still *adopts* a service
-    first (Bernoulli) so per-customer behaviour is consistent across
-    days.
+    published percentage. Draw-free, so it is tabulated once per
+    (country, type); services that cannot be adopted are left out,
+    as they draw nothing.
     """
     idle_share, house_share, comm_share = profile.type_mix
-    probs: Dict[str, float] = {}
+    table: List[Tuple[str, float, float]] = []
     for name in SERVICES:
         p = profile.adoption_pct[name] / 100.0
         p_comm = min(0.98, 1.8 * p)
@@ -126,9 +125,19 @@ def _daily_use_probs(
         else:
             p_type = p_idle
         p_adopt = min(1.0, 1.4 * p_type)
-        if p_adopt > 0 and rng.random() < p_adopt:
-            probs[name] = min(1.0, p_type / p_adopt)
-    return probs
+        if p_adopt > 0:
+            table.append((name, p_adopt, min(1.0, p_type / p_adopt)))
+    return table
+
+
+def _daily_use_probs(
+    table: List[Tuple[str, float, float]], rng: np.random.Generator
+) -> Dict[str, float]:
+    """Per-service daily usage probability for one subscriber: each
+    subscriber first *adopts* a service (Bernoulli, one draw per
+    adoptable service in :data:`SERVICES` order), so per-customer
+    behaviour is consistent across days."""
+    return {name: prob for name, p_adopt, prob in table if rng.random() < p_adopt}
 
 
 def synthesize_population(
@@ -158,6 +167,7 @@ def synthesize_population(
     country_draw = rng.choice(len(names), size=n_customers, p=shares)
 
     per_country_index: Dict[str, int] = {}
+    use_tables: Dict[Tuple[str, SubscriberType], List[Tuple[str, float, float]]] = {}
     subscribers: List[Subscriber] = []
     for customer_id, idx in enumerate(country_draw, start=1):
         country = names[int(idx)]
@@ -183,6 +193,11 @@ def synthesize_population(
         else:
             volume_mult = 0.02
             flow_mult = 0.18
+        use_table = use_tables.get((country, sub_type))
+        if use_table is None:
+            use_table = use_tables[country, sub_type] = _daily_use_table(
+                profile, sub_type
+            )
 
         subscribers.append(
             Subscriber(
@@ -196,7 +211,7 @@ def synthesize_population(
                 resolver_name=resolver,
                 volume_multiplier=volume_mult,
                 flow_multiplier=flow_mult,
-                daily_use_prob=_daily_use_probs(profile, sub_type, rng),
+                daily_use_prob=_daily_use_probs(use_table, rng),
             )
         )
     return Population(subscribers=subscribers)

@@ -15,6 +15,7 @@ import http.client
 import json
 import multiprocessing
 import socket
+import threading
 import time
 
 import numpy as np
@@ -339,6 +340,54 @@ def test_serve_stats_percentiles_follow_recent_traffic():
     for _ in range(cap):
         stats.observe("reports/fig2", 0.002, error=False)
     assert stats.rows()[0]["p99_ms"] == pytest.approx(2.0)
+
+
+def test_serve_stats_observe_proceeds_while_rows_computes(monkeypatch):
+    """rows() computes its quantiles outside the stats lock: a request
+    finishing meanwhile records its latency without waiting."""
+    from repro.serve import service
+
+    stats = ServeStats()
+    stats.observe("reports/fig2", 0.010, error=False)
+    entered, release = threading.Event(), threading.Event()
+    quantiles = service._latency_quantiles_ms
+
+    def slow_quantiles(samples):
+        entered.set()
+        assert release.wait(10)
+        return quantiles(samples)
+
+    monkeypatch.setattr(service, "_latency_quantiles_ms", slow_quantiles)
+    taken = []
+    reader = threading.Thread(target=lambda: taken.append(stats.rows()))
+    reader.start()
+    try:
+        assert entered.wait(10)
+        observed = threading.Event()
+        writer = threading.Thread(
+            target=lambda: (stats.observe("reports/fig2", 0.030, error=False), observed.set())
+        )
+        writer.start()
+        assert observed.wait(5), "observe() waited for rows() to finish"
+        writer.join()
+    finally:
+        release.set()
+        reader.join(10)
+    # rows() reports the state it copied; the concurrent sample lands
+    assert taken[0][0]["requests"] == 1
+    assert taken[0][0]["p50_ms"] == pytest.approx(10.0)
+    assert stats.rows()[0]["requests"] == 2
+
+
+def test_serve_stats_quantiles_match_separate_percentiles():
+    rng = np.random.default_rng(5)
+    stats = ServeStats()
+    for latency in rng.lognormal(-5.0, 1.0, 5_000):
+        stats.observe("reports/fig4", float(latency), error=False)
+    samples = stats.endpoints["reports/fig4"].samples_ms()
+    row = stats.rows()[0]
+    assert row["p50_ms"] == float(np.percentile(samples, 50))
+    assert row["p99_ms"] == float(np.percentile(samples, 99))
 
 
 # -- scenario section --------------------------------------------------------
