@@ -1,9 +1,10 @@
 """Vectorized batch kernels behind the ``engine`` knob.
 
-The streaming generator is already columnar, but the packet-level
-subsystems (flow meter, DPI sniffers, simulator event scheduling) run
-per-packet python loops. This package provides numpy batch kernels
-for those hot paths, selected by ``engine="vectorized"``; the
+Flow generation is already columnar and never runs these kernels
+(captures have no engine knob), but the packet-level subsystems (flow
+meter, DPI sniffers, simulator event scheduling) run per-packet
+python loops. This package provides numpy batch kernels for those hot
+paths, selected by ``engine="vectorized"``; the
 per-packet python implementations stay the *determinism oracle* — a
 kernel either produces bit-identical observable state or detects the
 shapes it cannot handle and falls back to the oracle before mutating
@@ -20,9 +21,10 @@ Modules
     by :class:`repro.flowmeter.meter.FlowMeter` when constructed with
     ``engine="vectorized"``.
 
-The engine knob is *execution policy, not content*: scenario digests
-exclude it, and every test that sweeps engines asserts digest
-equality against the python path.
+The engine knob (``packet-sim``/``mixed-sim --engine``,
+``FlowMeter(engine=...)``) is *execution policy, not content*: every
+test that sweeps engines asserts records identical to the python
+path.
 """
 
 from __future__ import annotations

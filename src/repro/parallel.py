@@ -9,10 +9,11 @@ stream spawned from the config seed with
 is **bit-identical regardless of how many workers execute the shards**
 — one process or eight, the same flows come out in the same order.
 
-Workers are forked (copy-on-write) so the parent's fully initialized
-:class:`~repro.traffic.workload.WorkloadGenerator` — population,
-categorical pools, precomputed site tables — is inherited for free
-instead of being pickled per task. On platforms without ``fork`` (or
+Workers are forked (copy-on-write) by :class:`ShardWorkerPool`, the
+one pool behind one-shot and streaming generation, so the parent's
+fully initialized :class:`~repro.traffic.workload.WorkloadGenerator`
+— population, categorical pools, precomputed site tables — is
+inherited for free instead of being pickled per task. On platforms without ``fork`` (or
 when process creation fails, e.g. in a sandbox) execution falls back
 to an in-process loop over the same shards, preserving output
 byte-for-byte.
@@ -136,50 +137,6 @@ def resolve_workers(n_workers: Union[int, str, None], slots: int = 1) -> int:
     return n_workers
 
 
-# The forked workers read the generator from this module global instead
-# of unpickling it per task (copy-on-write: no serialization of the
-# population or the precomputed site tables).
-_WORKER_GENERATOR: Optional["WorkloadGenerator"] = None
-
-
-def _run_shard(shard: ShardSpec) -> Optional["FlowFrame"]:
-    assert _WORKER_GENERATOR is not None, "worker started without a generator"
-    return _WORKER_GENERATOR.generate_shard(shard)
-
-
-def generate_shards(
-    generator: "WorkloadGenerator",
-    shards: Sequence[ShardSpec],
-    n_workers: int,
-) -> List[Optional["FlowFrame"]]:
-    """Generate every shard, in parallel when possible.
-
-    Returns one optional frame per shard, **in shard order** (a shard
-    whose customers produce no flows yields ``None``). Output is
-    independent of ``n_workers``.
-    """
-    n_workers = min(n_workers, len(shards))
-    if n_workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        global _WORKER_GENERATOR
-        _WORKER_GENERATOR = generator
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=context
-            ) as pool:
-                return list(pool.map(_run_shard, shards))
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            warnings.warn(
-                f"parallel generation unavailable ({exc}); falling back to "
-                "in-process execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            _WORKER_GENERATOR = None
-    return [generator.generate_shard(shard) for shard in shards]
-
-
 # -- streaming windows -------------------------------------------------------
 
 
@@ -199,20 +156,30 @@ def spawn_window_seed(
     return shard_seq.spawn(n_windows)[window_index]
 
 
-# (generator, n_windows, window_index, day_lo, day_hi, injector,
-# parent_pid) read by forked window workers, mirroring
-# _WORKER_GENERATOR above. parent_pid gates crash injection: only a
-# forked child may die, never the in-process fallback.
-_WORKER_WINDOW: Optional[
-    Tuple["WorkloadGenerator", int, int, int, int, FaultInjector, int]
-] = None
+# -- the worker pool --------------------------------------------------------
 
 
-def _run_window_shard(shard: ShardSpec) -> Optional["FlowFrame"]:
-    assert _WORKER_WINDOW is not None, "worker started without window context"
-    generator, n_windows, window_index, day_lo, day_hi, injector, parent_pid = (
-        _WORKER_WINDOW
-    )
+#: (generator, injector, parent_pid) of a pool. Forked workers inherit
+#: it copy-on-write through :data:`_POOL_CONTEXT` — no pickling of the
+#: population or the precomputed site tables — and the in-process path
+#: passes the same tuple explicitly. ``parent_pid`` gates crash
+#: injection: only a forked child may die, never the parent.
+_Context = Tuple["WorkloadGenerator", FaultInjector, int]
+
+_POOL_CONTEXT: Optional[_Context] = None
+
+#: One pool task: a shard and, for a streaming window, its
+#: ``(n_windows, window_index, day_lo, day_hi)``; ``None`` is the
+#: one-shot capture (the shard's own stream over every day).
+_PoolTask = Tuple[ShardSpec, Optional[Tuple[int, int, int, int]]]
+
+
+def _run_task(context: _Context, task: _PoolTask) -> Optional["FlowFrame"]:
+    generator, injector, parent_pid = context
+    shard, window = task
+    if window is None:
+        return generator.generate_shard(shard)
+    n_windows, window_index, day_lo, day_hi = window
     if os.getpid() != parent_pid and injector.crash_worker(
         window_index, shard.index
     ):
@@ -225,115 +192,37 @@ def _run_window_shard(shard: ShardSpec) -> Optional["FlowFrame"]:
     return generator.generate_shard_days(shard, day_lo, day_hi, rng)
 
 
-def generate_window_shards(
-    generator: "WorkloadGenerator",
-    shards: Sequence[ShardSpec],
-    n_windows: int,
-    window_index: int,
-    day_lo: int,
-    day_hi: int,
-    n_workers: int,
-    injector: Optional[FaultInjector] = None,
-) -> List[Optional["FlowFrame"]]:
-    """Generate every shard of one time window, in shard order.
-
-    The streaming counterpart of :func:`generate_shards`: same fork
-    pool, same in-process fallback, same contract that ``n_workers``
-    never changes a byte of the output. A worker killed mid-window
-    (injected via ``injector`` or real) costs the pool, not the run:
-    the parent falls back to in-process generation of the same shards,
-    which samples the same RNG streams and yields identical frames.
-    """
-    global _WORKER_WINDOW
-    injector = injector if injector is not None else NO_FAULTS
-    n_workers = min(n_workers, len(shards))
-    context_value = (
-        generator, n_windows, window_index, day_lo, day_hi, injector, os.getpid()
-    )
-    if n_workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        _WORKER_WINDOW = context_value
-        try:
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=context
-            ) as pool:
-                return list(pool.map(_run_window_shard, shards))
-        except (OSError, PermissionError) as exc:  # pragma: no cover
-            warnings.warn(
-                f"parallel window generation unavailable ({exc}); falling "
-                "back to in-process execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        except BrokenProcessPool:
-            injector.stats.worker_crashes += 1
-            warnings.warn(
-                f"worker process died generating window {window_index}; "
-                "regenerating its shards in-process (output unchanged)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        finally:
-            _WORKER_WINDOW = None
-    _WORKER_WINDOW = context_value
-    try:
-        return [_run_window_shard(shard) for shard in shards]
-    finally:
-        _WORKER_WINDOW = None
-
-
-# -- persistent pool ---------------------------------------------------------
-
-
-# (generator, injector, parent_pid) inherited copy-on-write by the
-# persistent pool's forked workers. Unlike _WORKER_WINDOW this stays
-# set for the pool's whole lifetime: the window coordinates travel as
-# small picklable per-task arguments instead, so one fork serves every
-# window of the capture.
-_POOL_CONTEXT: Optional[Tuple["WorkloadGenerator", FaultInjector, int]] = None
-
-#: One pool task: (shard, n_windows, window_index, day_lo, day_hi).
-_PoolTask = Tuple[ShardSpec, int, int, int, int]
-
-
 def _run_pool_task(task: _PoolTask) -> Optional["FlowFrame"]:
     assert _POOL_CONTEXT is not None, "pool worker started without context"
-    generator, injector, parent_pid = _POOL_CONTEXT
-    shard, n_windows, window_index, day_lo, day_hi = task
-    if os.getpid() != parent_pid and injector.crash_worker(
-        window_index, shard.index
-    ):
-        os._exit(66)
-    rng = np.random.default_rng(
-        spawn_window_seed(generator.config.seed, shard, n_windows, window_index)
-    )
-    return generator.generate_shard_days(shard, day_lo, day_hi, rng)
+    return _run_task(_POOL_CONTEXT, task)
 
 
 class ShardWorkerPool:
-    """A fork pool kept hot across the windows of a streaming capture.
+    """The fork pool that generates shards, for one-shot and streaming
+    captures alike.
 
-    :func:`generate_window_shards` re-forks a fresh
-    ``ProcessPoolExecutor`` for every window, paying process spawn and
-    teardown per window. This pool forks **once** — the workers inherit
-    the fully initialized generator copy-on-write via
-    :data:`_POOL_CONTEXT` — and then serves every window over the same
-    processes; only the tiny ``(shard, window)`` coordinates cross the
-    pipe per task. Output is byte-identical to the per-window pool and
-    to serial execution because each (shard, window) cell draws from
-    its own :func:`spawn_window_seed` stream.
+    The pool forks **once** — the workers inherit the fully initialized
+    generator copy-on-write via :data:`_POOL_CONTEXT` — and then serves
+    every call over the same processes; only the tiny ``(shard,
+    window)`` coordinates cross the pipe per task. Output is in shard
+    order and byte-identical for any worker count, because each shard
+    (or (shard, window) cell) draws from its own spawned RNG stream.
+
+    ``shards`` defaults to the generator's full plan; a ``repro.fleet``
+    partition passes its subset. The pool never runs more workers than
+    it has shards.
 
     Fork-with-threads note: with the ``fork`` start method the executor
     launches *all* workers in its constructor, so creating the pool
     before any sibling thread starts (the pipelined producer's commit
     thread) guarantees the children never inherit a mid-held lock. A
-    worker killed mid-window breaks the executor; the window is then
+    worker killed mid-call breaks the executor; the call is then
     regenerated in-process (identical frames) and the pool is lazily
-    re-forked for the next window — the only fork that can race a live
+    re-forked for the next call — the only fork that can race a live
     thread, and the children run nothing but generator code.
 
-    On platforms without ``fork``, with ``n_workers <= 1``, or when
-    process creation fails outright, every window runs in-process.
+    On platforms without ``fork``, with one worker, or when process
+    creation fails outright, every call runs in-process.
     """
 
     def __init__(
@@ -341,10 +230,12 @@ class ShardWorkerPool:
         generator: "WorkloadGenerator",
         n_workers: int,
         injector: Optional[FaultInjector] = None,
+        shards: Optional[Sequence[ShardSpec]] = None,
     ) -> None:
         self.generator = generator
         self.injector = injector if injector is not None else NO_FAULTS
-        self.n_workers = max(0, n_workers)
+        self.shards = list(shards) if shards is not None else generator.shard_plan()
+        self.n_workers = max(0, min(n_workers, len(self.shards)))
         self._executor: Optional[ProcessPoolExecutor] = None
         self._serial_forever = (
             self.n_workers <= 1
@@ -367,20 +258,13 @@ class ShardWorkerPool:
             )
         except (OSError, PermissionError) as exc:  # pragma: no cover
             warnings.warn(
-                f"persistent worker pool unavailable ({exc}); generating "
-                "windows in-process",
+                f"worker pool unavailable ({exc}); generating in-process",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             self._serial_forever = True
             _POOL_CONTEXT = None
         return self._executor
-
-    def _discard_executor(self) -> None:
-        # _POOL_CONTEXT stays set: the next window lazily re-forks.
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
 
     def warm(self) -> None:
         """Fork the workers now (no-op when running serially).
@@ -408,57 +292,39 @@ class ShardWorkerPool:
 
     # -- work ----------------------------------------------------------
 
-    def generate_window(
-        self,
-        shards: Sequence[ShardSpec],
-        n_windows: int,
-        window_index: int,
-        day_lo: int,
-        day_hi: int,
-    ) -> List[Optional["FlowFrame"]]:
-        """One window's shard frames, in shard order.
+    def generate(self) -> List[Optional["FlowFrame"]]:
+        """The one-shot capture's shard frames, in shard order (a shard
+        whose customers produce no flows yields ``None``)."""
+        return self._run([(shard, None) for shard in self.shards], "the capture")
 
-        Same contract as :func:`generate_window_shards`: the worker
-        count never changes a byte of the output, and a worker crash
-        costs the pool, not the run — the window is regenerated
-        in-process from the same RNG streams.
-        """
+    def generate_window(
+        self, n_windows: int, window_index: int, day_lo: int, day_hi: int
+    ) -> List[Optional["FlowFrame"]]:
+        """One streaming window's shard frames, in shard order."""
+        window = (n_windows, window_index, day_lo, day_hi)
+        return self._run(
+            [(shard, window) for shard in self.shards], f"window {window_index}"
+        )
+
+    def _run(
+        self, tasks: List[_PoolTask], what: str
+    ) -> List[Optional["FlowFrame"]]:
+        # A worker crash costs the pool, not the run: the tasks are
+        # regenerated in-process from the same RNG streams.
         executor = self._ensure_executor()
         if executor is not None:
-            tasks = [
-                (shard, n_windows, window_index, day_lo, day_hi)
-                for shard in shards
-            ]
             try:
                 return list(executor.map(_run_pool_task, tasks))
             except BrokenProcessPool:
                 self.injector.stats.worker_crashes += 1
                 warnings.warn(
-                    f"pool worker died generating window {window_index}; "
-                    "regenerating its shards in-process (output unchanged) "
-                    "and re-forking the pool",
+                    f"pool worker died generating {what}; regenerating its "
+                    "shards in-process (output unchanged) and re-forking "
+                    "the pool",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
-                self._discard_executor()
-        return [
-            self._generate_local(shard, n_windows, window_index, day_lo, day_hi)
-            for shard in shards
-        ]
-
-    def _generate_local(
-        self,
-        shard: ShardSpec,
-        n_windows: int,
-        window_index: int,
-        day_lo: int,
-        day_hi: int,
-    ) -> Optional["FlowFrame"]:
-        # In-process execution never crash-injects (mirrors the
-        # parent_pid gate of the forked path).
-        rng = np.random.default_rng(
-            spawn_window_seed(
-                self.generator.config.seed, shard, n_windows, window_index
-            )
-        )
-        return self.generator.generate_shard_days(shard, day_lo, day_hi, rng)
+                executor.shutdown(wait=False, cancel_futures=True)
+                self._executor = None
+        local = (self.generator, self.injector, os.getpid())
+        return [_run_task(local, task) for task in tasks]

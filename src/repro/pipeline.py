@@ -73,7 +73,7 @@ class PacketSimResult:
 def run_packet_simulation(
     config: Optional[PacketSimConfig] = None,
     scenario: Optional["Scenario"] = None,
-    engine: Optional[str] = None,
+    engine: str = "python",
 ) -> PacketSimResult:
     """Drive TLS downloads and DNS lookups through the packet network.
 
@@ -81,13 +81,11 @@ def run_packet_simulation(
     to a CDN server plus one DNS query; the flow meter observes the
     ground station. The result carries app-side ground truth so tests
     can check the probe's estimators. ``scenario`` selects which
-    satellite model the packets traverse (default: ``baseline-geo``) and
-    its ``execution.engine`` drives the flow meter unless ``engine``
-    overrides it — records are identical either way.
+    satellite model the packets traverse (default: ``baseline-geo``);
+    ``engine`` picks the flow meter's compute path — records are
+    identical either way.
     """
     config = config or PacketSimConfig()
-    if engine is None:
-        engine = scenario.execution.engine if scenario is not None else "python"
     sim = Simulator()
     internet = InternetModel()
     for svc in SERVICES.values():

@@ -542,21 +542,12 @@ class ExecutionSpec:
     """Windows the stream producer may generate ahead of the commit
     thread; 0 runs lockstep. Peak residency is ``depth + 2`` window
     frames."""
-    engine: str = "python"
-    """Packet-path compute engine: ``python`` (per-packet oracle) or
-    ``vectorized`` (numpy batch kernels, digest-identical)."""
 
     def _validate(self, path: str) -> None:
         if self.workers < 0:
             raise ScenarioError(f"{path}.workers", "must be >= 0 (0 = one per core)")
         if self.pipeline_depth < 0:
             raise ScenarioError(f"{path}.pipeline_depth", "must be >= 0 (0 = lockstep)")
-        from repro.kernels import ENGINES
-
-        if self.engine not in ENGINES:
-            raise ScenarioError(
-                f"{path}.engine", f"must be one of {', '.join(ENGINES)}"
-            )
 
 
 @dataclass(frozen=True)
@@ -1241,7 +1232,6 @@ class Scenario:
             scenario=self,
             faults=self.fault_plan(),
             pipeline_depth=self.execution.pipeline_depth,
-            engine=self.execution.engine,
         )
 
     def qos_config(self) -> QosScenarioConfig:

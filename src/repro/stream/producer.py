@@ -27,8 +27,8 @@ thread performs the *entire* PR-2 commit sequence for each window in
 index order — spill → rollup save → checkpoint — so every named
 kill-point and the byte-identical-resume guarantee survive the
 overlap untouched; ``pipeline_depth=0`` recovers the lockstep loop.
-Neither knob is content: digests are identical across depths, worker
-counts and engines.
+Neither knob is content: digests are identical across depths and
+worker counts.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from repro.analysis.source import CaptureError
 from repro.cache import stream_capture_key
 from repro.constants import SECONDS_PER_DAY
 from repro.faults import FaultInjector, FaultPlan, FaultStats, resolve_injector
-from repro.kernels import resolve_engine
-from repro.parallel import ShardWorkerPool, generate_window_shards, resolve_workers
+from repro.parallel import ShardWorkerPool, resolve_workers
 from repro.stream.checkpoint import (
     Checkpoint,
     WindowTelemetry,
@@ -125,11 +124,6 @@ class StreamConfig:
     runs the stages lockstep in one thread; ``N >= 1`` lets generation
     run up to ``N`` windows ahead of the commit thread. Execution-only:
     never part of the capture key, digests are identical at any depth."""
-    engine: str = "python"
-    """Kernel engine (``python`` or ``vectorized``) recorded for the
-    packet-level components (:mod:`repro.kernels`). Execution-only and
-    digest-neutral by contract — the streaming generator is already
-    columnar, so both engines produce bit-identical captures."""
 
     def capture_key(self) -> str:
         keyed = self.scenario if self.scenario is not None else self.workload
@@ -179,37 +173,24 @@ class WindowedProducer:
         self,
         window: WindowSpec,
         n_workers: int = 1,
-        injector: Optional[FaultInjector] = None,
         pool: Optional[ShardWorkerPool] = None,
     ) -> FlowFrame:
         """One window's flows, merged in shard order (never ``None`` —
         a windowless window yields an empty frame with the pools).
 
-        ``pool`` routes shard generation through a persistent
-        :class:`~repro.parallel.ShardWorkerPool` (forked once, reused
-        across windows); without one, a transient per-window pool is
+        ``pool`` is a persistent :class:`~repro.parallel.ShardWorkerPool`
+        over this producer's shards (forked once, reused across
+        windows); without one, a transient pool of ``n_workers`` is
         used. Either way the output is byte-identical.
         """
-        shards = self.shards
+        args = (len(self.windows), window.index, window.day_lo, window.day_hi)
         if pool is not None:
-            shard_frames = pool.generate_window(
-                shards,
-                len(self.windows),
-                window.index,
-                window.day_lo,
-                window.day_hi,
-            )
+            shard_frames = pool.generate_window(*args)
         else:
-            shard_frames = generate_window_shards(
-                self.generator,
-                shards,
-                len(self.windows),
-                window.index,
-                window.day_lo,
-                window.day_hi,
-                n_workers,
-                injector=injector,
-            )
+            with ShardWorkerPool(
+                self.generator, n_workers, shards=self.shards
+            ) as transient:
+                shard_frames = transient.generate_window(*args)
         frames = [frame for frame in shard_frames if frame is not None]
         if not frames:
             g = self.generator
@@ -409,8 +390,7 @@ def _run_pipelined(
     todo: List[WindowSpec],
     committer: _WindowCommitter,
     injector: FaultInjector,
-    workers: int,
-    pool: Optional[ShardWorkerPool],
+    pool: ShardWorkerPool,
     depth: int,
 ) -> None:
     """Overlap generation with the commit sequence.
@@ -450,9 +430,7 @@ def _run_pipelined(
             if failure:
                 break
             t0 = time.perf_counter()
-            frame = producer.generate_window(
-                window, n_workers=workers, injector=injector, pool=pool
-            )
+            frame = producer.generate_window(window, pool=pool)
             gen_seconds = time.perf_counter() - t0
             injector.kill_point(f"stream:w{window.index}:generated")
             in_flight.put((window, frame, gen_seconds))
@@ -512,7 +490,6 @@ def run_stream_capture(
         raise ValueError(
             f"pipeline_depth must be >= 0 (got {config.pipeline_depth})"
         )
-    resolve_engine(config.engine)  # validate early; generation is columnar
     injector = resolve_injector(faults if faults is not None else config.faults)
     injector.kill_point("stream:init")
     generator = config.build_generator()
@@ -530,7 +507,6 @@ def run_stream_capture(
         key = partition_capture_key(key, lo, hi, len(full_plan))
     producer = WindowedProducer(generator, config.window_days, shards=shards)
     n_windows = len(producer.windows)
-    workers = resolve_workers(config.workload.n_workers)
 
     existing = load_checkpoint(capture_dir) if resume else None
     if resume and existing is None:
@@ -614,8 +590,9 @@ def run_stream_capture(
     # exists — so the workers never inherit a lock held mid-commit.
     pool = ShardWorkerPool(
         generator,
-        min(workers, len(producer.shards)),
+        resolve_workers(config.workload.n_workers),
         injector=injector,
+        shards=producer.shards,
     )
     if todo:
         pool.warm()
@@ -624,9 +601,7 @@ def run_stream_capture(
             # Lockstep: generate → commit, one thread, one frame resident.
             for window in todo:
                 t0 = time.perf_counter()
-                frame = producer.generate_window(
-                    window, n_workers=workers, injector=injector, pool=pool
-                )
+                frame = producer.generate_window(window, pool=pool)
                 gen_seconds = time.perf_counter() - t0
                 injector.kill_point(f"stream:w{window.index}:generated")
                 committer.commit(window, frame, gen_seconds)
@@ -637,7 +612,6 @@ def run_stream_capture(
                 todo,
                 committer,
                 injector,
-                workers,
                 pool,
                 config.pipeline_depth,
             )

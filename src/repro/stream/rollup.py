@@ -30,10 +30,6 @@ need:
 edges (the producer guarantees this): the customer-day sketches
 (Figures 5/6/7) are only exact when no customer-day straddles two
 updates.
-
-:class:`HourlyRollup` — the paper's Section 3.1 hourly aggregate view
-— lives here too as the third member of the rollup family (frame →
-hourly cells, mergeable across day-aligned chunks).
 """
 
 from __future__ import annotations
@@ -1144,184 +1140,3 @@ class StreamRollup:
                 hist.under = data[f"{spec.name}_under"].copy()
                 hist.over = data[f"{spec.name}_over"].copy()
         return rollup
-
-
-@dataclass
-class HourlyRollup:
-    """The paper's Section 3.1 hourly aggregate view.
-
-    "The second step is to create aggregated views of the data to
-    obtain traffic breakdowns by protocols, server domains, time (with
-    1 hour granularity), country of the customer, and contacted
-    service" — one row per (day, hour, country, l7, service) with
-    flow/byte/customer counters, built in one vectorized pass and
-    queryable without touching the flow table again.
-
-    Part of the mergeable rollup family: :meth:`merge` folds two views
-    keyed on the same pools. Counters are exact; the distinct-customer
-    column is exact only when the merged views cover *disjoint day
-    ranges* (the streaming window discipline — a customer seen in the
-    same cell from both sides would be double counted).
-    """
-
-    day: np.ndarray
-    hour: np.ndarray
-    country_idx: np.ndarray
-    l7_idx: np.ndarray
-    service_idx: np.ndarray  # -1 = unattributed
-    flows: np.ndarray
-    bytes_total: np.ndarray
-    bytes_up: np.ndarray
-    bytes_down: np.ndarray
-    customers: np.ndarray  # distinct customers in the cell
-
-    countries: list
-    services: list
-
-    def __len__(self) -> int:
-        return len(self.day)
-
-    @staticmethod
-    def _decode_keys(unique: np.ndarray) -> Tuple[np.ndarray, ...]:
-        service = (unique % 100) - 1
-        rest = unique // 100
-        l7 = rest % 10
-        rest //= 10
-        country = rest % 100
-        rest //= 100
-        hour = rest % 100
-        day = rest // 100
-        return day, hour, country, l7, service
-
-    def _keys(self) -> np.ndarray:
-        return (
-            self.day.astype(np.int64) * 10_000_000
-            + self.hour.astype(np.int64) * 100_000
-            + self.country_idx.astype(np.int64) * 1_000
-            + self.l7_idx.astype(np.int64) * 100
-            + (self.service_idx.astype(np.int64) + 1)
-        )
-
-    @classmethod
-    def from_frame(cls, frame: FlowFrame) -> "HourlyRollup":
-        """Aggregate a flow table into hourly cells."""
-        if frame.customer_id.max(initial=0) >= 1_000_000:
-            raise ValueError("rollup keys assume customer ids below 1e6")
-        hours = frame.hour_utc.astype(np.int64) % 24
-        # Composite key: day | hour | country | l7 | service(+1)
-        key = (
-            frame.day.astype(np.int64) * 10_000_000
-            + hours * 100_000
-            + frame.country_idx.astype(np.int64) * 1_000
-            + frame.l7_idx.astype(np.int64) * 100
-            + (frame.service_true_idx.astype(np.int64) + 1)
-        )
-        # Sort by (cell, customer) so distinct-customer counting is a
-        # simple adjacent-difference within each cell.
-        combined = key * 1_000_000 + frame.customer_id.astype(np.int64)
-        order = np.argsort(combined, kind="stable")
-        sorted_combined = combined[order]
-        sorted_key = sorted_combined // 1_000_000
-        boundaries = np.concatenate(([0], np.flatnonzero(np.diff(sorted_key)) + 1))
-
-        def segsum(values: np.ndarray) -> np.ndarray:
-            return np.add.reduceat(values[order].astype(np.float64), boundaries)
-
-        unique = sorted_key[boundaries]
-        day, hour, country, l7, service = cls._decode_keys(unique)
-
-        distinct_mask = np.ones(len(sorted_combined), dtype=bool)
-        distinct_mask[1:] = np.diff(sorted_combined) != 0
-        customers = np.add.reduceat(distinct_mask.astype(np.float64), boundaries)
-
-        return cls(
-            day=day.astype(np.int32),
-            hour=hour.astype(np.int8),
-            country_idx=country.astype(np.int16),
-            l7_idx=l7.astype(np.int8),
-            service_idx=service.astype(np.int16),
-            flows=segsum(np.ones(len(frame))),
-            bytes_total=segsum(frame.bytes_total()),
-            bytes_up=segsum(frame.bytes_up),
-            bytes_down=segsum(frame.bytes_down),
-            customers=customers,
-            countries=list(frame.countries),
-            services=list(frame.services),
-        )
-
-    # -- merge -------------------------------------------------------------
-
-    def merge(self, other: "HourlyRollup") -> "HourlyRollup":
-        """Fold another view in (associative; pools must match)."""
-        if other.countries != self.countries or other.services != self.services:
-            raise ValueError("cannot merge rollups with different pools")
-        key = np.concatenate((self._keys(), other._keys()))
-        order = np.argsort(key, kind="stable")
-        sorted_key = key[order]
-        boundaries = np.concatenate(
-            ([0], np.flatnonzero(np.diff(sorted_key)) + 1)
-        )
-
-        def segsum(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
-            both = np.concatenate(
-                (mine.astype(np.float64), theirs.astype(np.float64))
-            )
-            return np.add.reduceat(both[order], boundaries)
-
-        unique = sorted_key[boundaries]
-        day, hour, country, l7, service = self._decode_keys(unique)
-        self.flows = segsum(self.flows, other.flows)
-        self.bytes_total = segsum(self.bytes_total, other.bytes_total)
-        self.bytes_up = segsum(self.bytes_up, other.bytes_up)
-        self.bytes_down = segsum(self.bytes_down, other.bytes_down)
-        self.customers = segsum(self.customers, other.customers)
-        self.day = day.astype(np.int32)
-        self.hour = hour.astype(np.int8)
-        self.country_idx = country.astype(np.int16)
-        self.l7_idx = l7.astype(np.int8)
-        self.service_idx = service.astype(np.int16)
-        return self
-
-    # -- queries -----------------------------------------------------------
-
-    def _mask(
-        self,
-        country: Optional[str] = None,
-        l7_idx: Optional[int] = None,
-        service: Optional[str] = None,
-        hour: Optional[int] = None,
-        day: Optional[int] = None,
-    ) -> np.ndarray:
-        mask = np.ones(len(self), dtype=bool)
-        if country is not None:
-            mask &= self.country_idx == self.countries.index(country)
-        if l7_idx is not None:
-            mask &= self.l7_idx == l7_idx
-        if service is not None:
-            mask &= self.service_idx == self.services.index(service)
-        if hour is not None:
-            mask &= self.hour == hour
-        if day is not None:
-            mask &= self.day == day
-        return mask
-
-    def volume(self, **filters) -> float:
-        """Total bytes matching the filters."""
-        return float(self.bytes_total[self._mask(**filters)].sum())
-
-    def flow_count(self, **filters) -> float:
-        """Total flows matching the filters."""
-        return float(self.flows[self._mask(**filters)].sum())
-
-    def hourly_series(self, country: str) -> np.ndarray:
-        """24-vector of volume per UTC hour (sums across days)."""
-        out = np.zeros(24)
-        mask = self._mask(country=country)
-        np.add.at(out, self.hour[mask].astype(int), self.bytes_total[mask])
-        return out
-
-    def reduction_factor(self, frame: FlowFrame) -> float:
-        """How many times smaller the rollup is than the flow table."""
-        if len(self) == 0:
-            return float("inf")
-        return len(frame) / len(self)

@@ -30,8 +30,8 @@ from repro.internet.servers import SelectionPolicy, deployment
 from repro.internet.topology import InternetModel
 from repro.parallel import (
     ShardSpec,
+    ShardWorkerPool,
     default_shard_count,
-    generate_shards,
     plan_shards,
     resolve_workers,
 )
@@ -329,13 +329,8 @@ class WorkloadGenerator:
         stream, then merged in shard order — so the result is
         bit-identical for any ``n_workers`` (see DESIGN.md §7).
         """
-        shards = self.shard_plan()
-        workers = resolve_workers(self.config.n_workers)
-        frames = [
-            frame
-            for frame in generate_shards(self, shards, workers)
-            if frame is not None
-        ]
+        with ShardWorkerPool(self, resolve_workers(self.config.n_workers)) as pool:
+            frames = [frame for frame in pool.generate() if frame is not None]
         if not frames:
             raise RuntimeError("workload produced no flows")
         if len(frames) == 1:

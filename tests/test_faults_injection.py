@@ -230,30 +230,48 @@ def test_crash_worker_targets_cells():
     reason="needs fork workers",
 )
 def test_worker_crash_falls_back_bit_identical():
-    from repro.parallel import generate_window_shards, plan_shards
+    """Every worker of both windows dies; each window is regenerated
+    in-process, identical to a clean pool, and the pool re-forks for
+    the second window after the first one broke it."""
+    from repro.analysis.dataset import _ARRAY_FIELDS
+    from repro.parallel import ShardWorkerPool, plan_shards
     from repro.traffic.workload import WorkloadGenerator
 
     generator = WorkloadGenerator(WorkloadConfig(n_customers=300, days=2, seed=5))
     shards = plan_shards(300, 2)
-    clean = generate_window_shards(generator, shards, 2, 0, 0, 1, n_workers=2)
+    windows = [(2, w, w, w + 1) for w in range(2)]
+    with ShardWorkerPool(generator, 2, shards=shards) as pool:
+        clean = [pool.generate_window(*window) for window in windows]
     injector = FaultInjector(
         FaultPlan(worker_crashes=(WorkerCrash(rate=1.0),))
     )
-    with pytest.warns(RuntimeWarning, match="worker process died"):
-        chaotic = generate_window_shards(
-            generator, shards, 2, 0, 0, 1, n_workers=2, injector=injector
-        )
-    assert injector.stats.worker_crashes >= 1
-    assert len(clean) == len(chaotic)
-    from repro.analysis.dataset import _ARRAY_FIELDS
+    chaotic, executors = [], []
+    with ShardWorkerPool(generator, 2, injector=injector, shards=shards) as pool:
+        ensure = pool._ensure_executor
 
-    for a, b in zip(clean, chaotic):
-        assert (a is None) == (b is None)
-        if a is not None:
-            for name in _ARRAY_FIELDS:
-                x, y = getattr(a, name), getattr(b, name)
-                nan_ok = np.issubdtype(x.dtype, np.floating)
-                assert np.array_equal(x, y, equal_nan=nan_ok), name
+        def recording_ensure():
+            executors.append(ensure())
+            return executors[-1]
+
+        pool._ensure_executor = recording_ensure
+        for window in windows:
+            with pytest.warns(RuntimeWarning, match="worker died"):
+                chaotic.append(pool.generate_window(*window))
+            assert pool._executor is None  # the break discarded the pool
+    assert injector.stats.worker_crashes == 2
+    # Each window ran on a live fork pool, the second on a fresh fork.
+    assert len(executors) == 2 and None not in executors
+    assert executors[0] is not executors[1]
+
+    for clean_window, chaotic_window in zip(clean, chaotic):
+        assert len(clean_window) == len(chaotic_window) == 2
+        for a, b in zip(clean_window, chaotic_window):
+            assert (a is None) == (b is None)
+            if a is not None:
+                for name in _ARRAY_FIELDS:
+                    x, y = getattr(a, name), getattr(b, name)
+                    nan_ok = np.issubdtype(x.dtype, np.floating)
+                    assert np.array_equal(x, y, equal_nan=nan_ok), name
 
 
 # -- stats ------------------------------------------------------------------

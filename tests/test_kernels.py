@@ -356,19 +356,27 @@ def test_at_batch_validates_before_mutating():
 def test_shard_pool_matches_transient_generation():
     import multiprocessing
 
-    from repro.parallel import ShardWorkerPool, generate_window_shards
+    from repro.parallel import ShardWorkerPool, spawn_window_seed
     from repro.traffic.workload import WorkloadConfig, WorkloadGenerator
 
-    generator = WorkloadGenerator(WorkloadConfig(n_customers=40, days=2, seed=5))
+    generator = WorkloadGenerator(
+        WorkloadConfig(n_customers=40, days=2, seed=5, n_shards=2)
+    )
     shards = generator.shard_plan()
-    reference = generate_window_shards(generator, shards, 2, 0, 0, 1, 1)
+    assert len(shards) == 2
+    reference = [
+        generator.generate_shard_days(
+            shard, 0, 1, np.random.default_rng(spawn_window_seed(5, shard, 2, 0))
+        )
+        for shard in shards
+    ]
 
     worker_counts = [1]
     if "fork" in multiprocessing.get_all_start_methods():
         worker_counts.append(2)
     for n_workers in worker_counts:
         with ShardWorkerPool(generator, n_workers) as pool:
-            frames = pool.generate_window(shards, 2, 0, 0, 1)
+            frames = pool.generate_window(2, 0, 0, 1)
         assert len(frames) == len(reference)
         for got, want in zip(frames, reference):
             if want is None:
